@@ -157,12 +157,16 @@ void RunServing(const Dataset& dataset, const ParallelOptions& parallel,
 //
 // Op semantics:
 //   ingest/append     wall_ms = the whole append phase; items/s = rows
-//                     acknowledged per second (WAL framing + delta
-//                     counting + the compactions that fell inside)
+//                     acknowledged per second (WAL framing + batch
+//                     counting + copy-on-write publishing + the
+//                     compactions that fell inside)
 //   ingest/query_p50  wall_ms = median all-pairs sweep latency measured
 //                     concurrently with the writer; items/s = sweeps
 //                     completed per second over the append phase
-//   ingest/query_p99  same run, 99th-percentile latency
+//   ingest/query_p99  same run, 99th-percentile latency; Snapshot() is
+//                     a pointer copy that never waits for an append, so
+//                     tools/check_bench.py bounds it by a fraction of the
+//                     append phase
 //   ingest/recover    wall_ms = reopen + WAL tail replay; items/s =
 //                     replayed records per second (the tail is kept
 //                     non-empty: a batch is appended after the last

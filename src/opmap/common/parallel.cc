@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "opmap/common/metrics.h"
@@ -279,7 +280,17 @@ void ThreadPool::Run(int num_tasks, const std::function<void(int)>& task) {
       }
     }
   }
-  if (job->exception) std::rethrow_exception(job->exception);
+  // Move the exception out under the job's lock so it is released on this
+  // thread: a worker may still drop the last reference to the job after
+  // we return, and its reference count (inside the uninstrumented C++
+  // runtime) would give the thread sanitizer no order between our reads of
+  // the exception and its destruction there.
+  std::exception_ptr exception;
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    exception = std::exchange(job->exception, nullptr);
+  }
+  if (exception) std::rethrow_exception(exception);
 }
 
 void ThreadPool::Post(std::function<void()> task) {

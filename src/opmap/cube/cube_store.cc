@@ -548,6 +548,17 @@ Status CubeBuilder::AddDataset(const Dataset& dataset) {
   return Status::OK();
 }
 
+void CubeBuilder::Reset() {
+  for (RuleCube& cube : store_.attr_cubes_) {
+    std::fill_n(cube.raw_counts(), cube.num_cells(), 0);
+  }
+  for (RuleCube& cube : store_.pair_cubes_) {
+    std::fill_n(cube.raw_counts(), cube.num_cells(), 0);
+  }
+  std::fill(store_.class_counts_.begin(), store_.class_counts_.end(), 0);
+  store_.num_records_ = 0;
+}
+
 CubeStore CubeBuilder::Finish() && {
   attr_raw_.clear();
   pair_raw_.clear();

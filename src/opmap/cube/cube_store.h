@@ -127,8 +127,8 @@ class CubeStore {
   /// Deep copy with owned counts. Mapped (lazily loaded) stores are
   /// materialized: every cube payload is CRC-verified and copied to the
   /// heap, so the clone is independent of the source's file mapping and
-  /// mutable (AddCounts). This is the streaming-ingestion layer's bridge
-  /// from a zero-copy served base store to a compactable one.
+  /// mutable (AddCounts). The streaming ingester clones the published
+  /// store when a reader still holds the copy it would otherwise reuse.
   Result<CubeStore> Clone() const;
 
   /// Element-wise adds `delta`'s counts into this store (cube cells,
@@ -238,6 +238,13 @@ class CubeBuilder {
   /// ParallelOptions; counts are merged exactly, so the result does not
   /// depend on the thread count.
   Status AddDataset(const Dataset& dataset);
+
+  /// The counts added so far, readable without consuming the builder.
+  const CubeStore& store() const { return store_; }
+
+  /// Zeroes every count, keeping the allocated cubes, so one builder can
+  /// count batch after batch without re-allocating the store each time.
+  void Reset();
 
   /// Finalizes and returns the store. The builder is consumed.
   CubeStore Finish() &&;

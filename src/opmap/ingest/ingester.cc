@@ -46,6 +46,21 @@ Histogram* IngestAppendUs() {
       MetricsRegistry::Global()->histogram("ingest.append_us");
   return h;
 }
+Counter* IngestRowsCounted() {
+  static Counter* const c =
+      MetricsRegistry::Global()->counter("ingest.rows_counted");
+  return c;
+}
+Counter* IngestPublishClones() {
+  static Counter* const c =
+      MetricsRegistry::Global()->counter("ingest.publish_clones");
+  return c;
+}
+Histogram* IngestPublishUs() {
+  static Histogram* const h =
+      MetricsRegistry::Global()->histogram("ingest.publish_us");
+  return h;
+}
 Histogram* CompactUs() {
   static Histogram* const h =
       MetricsRegistry::Global()->histogram("compact.us");
@@ -185,21 +200,19 @@ Result<std::unique_ptr<Ingester>> Ingester::Create(
     return Status::InvalidArgument("'" + dir +
                                    "' already holds an ingest MANIFEST");
   }
-  OPMAP_ASSIGN_OR_RETURN(ing->delta_,
-                         DeltaCubeBuilder::Make(schema, options.cube));
   // The generation-1 container is the empty base: created, synced and
   // manifest-committed before the first append can be acknowledged.
-  OPMAP_ASSIGN_OR_RETURN(CubeStore empty, ing->delta_->Drain());
+  OPMAP_ASSIGN_OR_RETURN(CubeBuilder builder,
+                         CubeBuilder::Make(schema, options.cube));
+  CubeStore empty = std::move(builder).Finish();
   OPMAP_RETURN_NOT_OK(
       empty.SaveToFile(ing->PathOf(ing->CubeFileName(1)), ing->env_));
-  ing->base_ = std::make_shared<const CubeStore>(std::move(empty));
   ing->manifest_ = Manifest{};
   OPMAP_RETURN_NOT_OK(ing->WriteManifest(ing->manifest_));
   OPMAP_ASSIGN_OR_RETURN(
       ing->wal_,
       WalWriter::Open(ing->env_, dir, /*segment_id=*/1, options.wal));
-  ing->snapshot_ = ing->base_;
-  ing->snapshot_dirty_ = false;
+  ing->Publish(std::make_shared<CubeStore>(std::move(empty)));
   return ing;
 }
 
@@ -218,14 +231,11 @@ Result<std::unique_ptr<Ingester>> Ingester::Open(Env* env,
           ing->PathOf(ing->CubeFileName(ing->manifest_.cube_generation)),
           ing->env_, CubeLoadOptions{/*use_mmap=*/false}));
   ing->schema_ = base.schema();
-  ing->base_ = std::make_shared<const CubeStore>(std::move(base));
-  OPMAP_ASSIGN_OR_RETURN(ing->delta_,
-                         DeltaCubeBuilder::Make(ing->schema_, options.cube));
   ing->CollectGarbage();
-  OPMAP_ASSIGN_OR_RETURN(const uint64_t next_segment, ing->ReplayWal());
+  OPMAP_ASSIGN_OR_RETURN(const uint64_t next_segment, ing->ReplayWal(&base));
   OPMAP_ASSIGN_OR_RETURN(
       ing->wal_, WalWriter::Open(ing->env_, dir, next_segment, options.wal));
-  ing->snapshot_dirty_ = true;
+  ing->Publish(std::make_shared<CubeStore>(std::move(base)));
   IngestRecoveries()->Increment();
   return ing;
 }
@@ -240,7 +250,7 @@ Result<std::unique_ptr<Ingester>> Ingester::OpenOrCreate(
   return Create(e, dir, schema, options);
 }
 
-Result<uint64_t> Ingester::ReplayWal() {
+Result<uint64_t> Ingester::ReplayWal(CubeStore* base) {
   // Live segments run from the manifest's first id upward: sealed `.log`
   // files are complete (any damage is a hard error); `.open` segments
   // tolerate torn frames. The writer resumes on the first id with neither
@@ -283,7 +293,10 @@ Result<uint64_t> Ingester::ReplayWal() {
       stats_.truncated_bytes += seg_stats.truncated_bytes;
     }
   }
-  OPMAP_RETURN_NOT_OK(delta_->AddBatch(replayed));
+  if (replayed.num_rows() > 0) {
+    OPMAP_RETURN_NOT_OK(CountBatch(replayed));
+    OPMAP_RETURN_NOT_OK(base->AddCounts(batch_counts_->store()));
+  }
   stats_.replayed_rows = replayed.num_rows();
   next_seq_ = max_seq + 1;
   return id;
@@ -330,7 +343,7 @@ void Ingester::CollectGarbage() {
 Result<uint64_t> Ingester::AppendBatch(const Dataset& batch) {
   OPMAP_TRACE_SPAN("ingest.append");
   const int64_t start_us = MonotonicMicros();
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   uint64_t seq = 0;
   OPMAP_RETURN_NOT_OK(AppendLocked(batch, &seq));
   IngestAppendUs()->Record(MonotonicMicros() - start_us);
@@ -345,24 +358,25 @@ Status Ingester::AppendLocked(const Dataset& batch, uint64_t* seq) {
   }
   OPMAP_RETURN_NOT_OK(ValidateBatch(batch, schema_));
   // WAL first: the batch is acknowledged only once the frame is appended
-  // (and fsynced, under sync_every_append). The delta is counted after —
-  // an in-memory view never gets ahead of the log.
+  // (and fsynced, under sync_every_append). It is counted and published
+  // after — the published store never gets ahead of the log — but before
+  // the ack, so a Snapshot() taken after the return sees it.
   const uint64_t this_seq = next_seq_;
   Status wrote = wal_->Append(this_seq, EncodeBatch(batch));
   if (!wrote.ok()) {
     failed_ = true;
     return wrote;
   }
-  Status counted = delta_->AddBatch(batch);
-  if (!counted.ok()) {
+  Status published = CountBatch(batch);
+  if (published.ok()) published = PublishBatch();
+  if (!published.ok()) {
     failed_ = true;
-    return counted;
+    return published;
   }
   next_seq_ = this_seq + 1;
   *seq = this_seq;
   ++stats_.batches_appended;
   stats_.rows_appended += batch.num_rows();
-  snapshot_dirty_ = true;
   IngestBatches()->Increment();
   IngestRows()->Increment(batch.num_rows());
   if (options_.compact_every_batches > 0 &&
@@ -372,8 +386,69 @@ Status Ingester::AppendLocked(const Dataset& batch, uint64_t* seq) {
   return Status::OK();
 }
 
+Status Ingester::CountBatch(const Dataset& rows) {
+  OPMAP_TRACE_SPAN("ingest.count_batch");
+  // Allocating a zeroed store costs about as much as counting a batch
+  // into it, so the two batch builders are made once and zeroed after.
+  if (batch_counts_.has_value()) {
+    batch_counts_->Reset();
+  } else {
+    OPMAP_ASSIGN_OR_RETURN(batch_counts_,
+                           CubeBuilder::Make(schema_, options_.cube));
+  }
+  if (rows.num_rows() > 0) OPMAP_RETURN_NOT_OK(batch_counts_->AddDataset(rows));
+  IngestRowsCounted()->Increment(rows.num_rows());
+  return Status::OK();
+}
+
+void Ingester::Publish(std::shared_ptr<CubeStore> store) {
+  auto released = std::make_shared<std::atomic<bool>>(false);
+  // Readers share a handle of their own. Its deleter runs when the last
+  // reader (or published_ itself) lets go: it keeps the store alive until
+  // then, even past this ingester, and its release store orders every
+  // reader's use of the store before the writer reuses it.
+  std::shared_ptr<const CubeStore> handle(
+      store.get(), [keep = store, released](const CubeStore*) mutable {
+        keep.reset();
+        released->store(true, std::memory_order_release);
+      });
+  std::shared_ptr<const CubeStore> unpublished;
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    unpublished = std::exchange(published_, std::move(handle));
+  }
+  // Dropped outside the lock: when no reader holds the old store, its
+  // deleter runs here.
+  unpublished.reset();
+  previous_ =
+      std::exchange(current_, Version{std::move(store), std::move(released)});
+}
+
+Status Ingester::PublishBatch() {
+  OPMAP_TRACE_SPAN("ingest.publish");
+  const int64_t start_us = MonotonicMicros();
+  std::shared_ptr<CubeStore> next;
+  if (previous_.store != nullptr &&
+      previous_.released->load(std::memory_order_acquire)) {
+    // No reader holds the store published one append ago: catch it up
+    // with the batch it lacks instead of copying the whole store.
+    next = std::move(previous_.store);
+    OPMAP_RETURN_NOT_OK(next->AddCounts(last_counts_->store()));
+  } else {
+    OPMAP_ASSIGN_OR_RETURN(CubeStore copy, current_.store->Clone());
+    next = std::make_shared<CubeStore>(std::move(copy));
+    IngestPublishClones()->Increment();
+  }
+  OPMAP_RETURN_NOT_OK(next->AddCounts(batch_counts_->store()));
+  Publish(std::move(next));
+  // previous_ now lacks exactly this batch.
+  std::swap(batch_counts_, last_counts_);
+  IngestPublishUs()->Record(MonotonicMicros() - start_us);
+  return Status::OK();
+}
+
 Status Ingester::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   return CompactLocked();
 }
 
@@ -385,18 +460,17 @@ Status Ingester::CompactLocked() {
         "ingester latched failed after an I/O error; reopen '" + dir_ +
         "' to recover");
   }
-  // Fold base + delta into a fresh container. Everything below can crash
-  // at any point: until the manifest rename commits, recovery sees the
-  // old generation and replays the old WAL range; after it, the new
-  // generation plus the (empty) new segment range. Either way each
-  // acknowledged batch is counted exactly once.
+  // Write the published store (base + every acked batch) to a fresh
+  // container. Everything below can crash at any point: until the
+  // manifest rename commits, recovery sees the old generation and replays
+  // the old WAL range; after it, the new generation plus the (empty) new
+  // segment range. Either way each acknowledged batch is counted exactly
+  // once.
   Status status = [&]() -> Status {
-    OPMAP_ASSIGN_OR_RETURN(CubeStore merged, base_->Clone());
-    OPMAP_RETURN_NOT_OK(merged.AddCounts(delta_->delta()));
     const uint64_t new_gen = manifest_.cube_generation + 1;
     const uint64_t folded_seq = next_seq_ - 1;
     OPMAP_RETURN_NOT_OK(
-        merged.SaveToFile(PathOf(CubeFileName(new_gen)), env_));
+        current_.store->SaveToFile(PathOf(CubeFileName(new_gen)), env_));
     // Seal the tail so the folded WAL range is closed, then commit.
     OPMAP_RETURN_NOT_OK(wal_->Roll());
     Manifest next;
@@ -405,12 +479,6 @@ Status Ingester::CompactLocked() {
     next.first_segment_id = wal_->segment_id();
     OPMAP_RETURN_NOT_OK(WriteManifest(next));
     manifest_ = next;
-    // Publish: swap the served base, drop the folded delta, invalidate.
-    base_ = std::make_shared<const CubeStore>(std::move(merged));
-    OPMAP_ASSIGN_OR_RETURN(CubeStore folded, delta_->Drain());
-    (void)folded;
-    snapshot_ = base_;
-    snapshot_dirty_ = false;
     return Status::OK();
   }();
   if (!status.ok()) {
@@ -424,9 +492,12 @@ Status Ingester::CompactLocked() {
   if (cache_ != nullptr) cache_->BumpEpoch();
   if (publish_hook_) {
     // The compaction is durable and served either way; a failing
-    // subscriber is an observability event, not a rollback.
+    // subscriber is an observability event, not a rollback. Holding the
+    // store here keeps PublishBatch from recycling it while the subscriber
+    // may still serve it through a raw pointer.
+    hooked_ = Snapshot().MoveValue();
     const Status hook_status = publish_hook_(
-        base_.get(), PathOf(CubeFileName(manifest_.cube_generation)));
+        hooked_, PathOf(CubeFileName(manifest_.cube_generation)));
     if (!hook_status.ok()) {
       ++stats_.publish_failures;
       stats_.last_publish_error = hook_status.ToString();
@@ -436,30 +507,20 @@ Status Ingester::CompactLocked() {
   return Status::OK();
 }
 
-Result<std::shared_ptr<const CubeStore>> Ingester::Snapshot() {
+Result<std::shared_ptr<const CubeStore>> Ingester::Snapshot() const {
   OPMAP_TRACE_SPAN("ingest.snapshot");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (snapshot_dirty_) {
-    if (delta_->rows() == 0) {
-      snapshot_ = base_;
-    } else {
-      OPMAP_ASSIGN_OR_RETURN(CubeStore merged, base_->Clone());
-      OPMAP_RETURN_NOT_OK(merged.AddCounts(delta_->delta()));
-      snapshot_ = std::make_shared<const CubeStore>(std::move(merged));
-    }
-    snapshot_dirty_ = false;
-  }
-  return snapshot_;
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  return published_;
 }
 
 Status Ingester::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   if (!wal_.has_value() || failed_) return Status::OK();
   return wal_->Close();
 }
 
 IngestStats Ingester::GetStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(write_mu_);
   IngestStats stats = stats_;
   stats.next_seq = next_seq_;
   stats.last_applied_seq = manifest_.last_applied_seq;

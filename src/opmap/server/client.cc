@@ -61,6 +61,13 @@ Status Client::SendRaw(const std::string& bytes) {
   return Status::OK();
 }
 
+Status Client::ShutdownWrite() {
+  if (::shutdown(fd_, SHUT_WR) != 0) {
+    return Status::IOError(std::string("shutdown: ") + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 Result<Reply> Client::ReadReply() {
   for (;;) {
     uint64_t request_id = 0;

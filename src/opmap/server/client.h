@@ -69,6 +69,10 @@ class Client {
   /// tests use this to deliver truncated and corrupted frames.
   Status SendRaw(const std::string& bytes);
 
+  /// Half-closes the connection (shutdown SHUT_WR): the daemon reads EOF
+  /// after the bytes already sent, answers them, then closes.
+  Status ShutdownWrite();
+
   /// Reads the next response frame regardless of what was sent (pairs with
   /// SendRaw). Returns IOError on timeout/EOF.
   Result<Reply> ReadReply();

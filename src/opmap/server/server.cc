@@ -195,8 +195,9 @@ class Connection {
   uint64_t next_seq = 1;             // assigned to frames as they parse
   uint64_t next_emit = 1;            // next response seq to put on the wire
   std::map<uint64_t, std::string> reorder;  // seq -> encoded response frame
-  bool closing = false;  // close once everything queued is emitted+flushed
-  bool dead = false;     // read/write failed; close at the next sweep
+  bool closing = false;   // close once everything queued is emitted+flushed
+  bool dead = false;      // read/write failed; close at the next sweep
+  bool read_eof = false;  // peer sent its last byte (closed or half-closed)
   std::unique_ptr<ExplorationSession> session;
   uint64_t session_generation = 0;
 
@@ -267,12 +268,13 @@ class EventLoop {
     Wake();
   }
 
-  // Called by pool workers when a request finishes.
+  // Called by pool workers when a request finishes. Wakes the loop before
+  // releasing the lock: once the loop can take the completion it may
+  // finish a drain and be destroyed, closing the pipe, so the worker must
+  // not touch the loop after the unlock.
   void PostCompletion(Completion done) {
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(std::move(done));
-    }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(std::move(done));
     Wake();
   }
 
@@ -720,7 +722,10 @@ void EventLoop::Run() {
       short events = 0;
       if (!conn->closing && !conn->dead && !draining_) events |= POLLIN;
       if (!conn->dead && !conn->FinishedFlushing()) events |= POLLOUT;
-      fds.push_back({conn->fd, events, 0});
+      // A peer that closed keeps raising POLLHUP; leave its fd out while
+      // its last requests finish, or the loop would spin on it.
+      const int fd = events == 0 && conn->read_eof ? -1 : conn->fd;
+      fds.push_back({fd, events, 0});
       fd_conn.push_back(id);
     }
 
@@ -871,6 +876,7 @@ void EventLoop::AcceptConnections() {
 
 void EventLoop::ReadConnection(Connection* conn) {
   char buf[64 << 10];
+  bool eof = false;
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -880,8 +886,7 @@ void EventLoop::ReadConnection(Connection* conn) {
       continue;
     }
     if (n == 0) {
-      conn->dead = true;  // peer closed; swept after this round
-      conn->closing = true;
+      eof = true;  // frames read before the EOF are still answered below
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -923,6 +928,14 @@ void EventLoop::ReadConnection(Connection* conn) {
     HandleFrame(conn, request_id, std::move(payload));
   }
   conn->in.erase(0, off);
+  if (eof) {
+    // The peer sent its last byte: answer the frames it sent (a peer that
+    // only half-closed reads the replies), then close. A partial frame
+    // left in the buffer can never complete.
+    conn->read_eof = true;
+    conn->closing = true;
+    conn->in.clear();
+  }
   FlushConnection(conn);
 }
 

@@ -758,7 +758,8 @@ int CmdIngest(const Args& args) {
   const std::string notify = args.GetString("notify");
   if (!notify.empty()) {
     ing->set_publish_hook(
-        [&notify](const CubeStore*, const std::string& cube_path) {
+        [&notify](const std::shared_ptr<const CubeStore>&,
+                  const std::string& cube_path) {
           return NotifyDaemonReload(notify, cube_path);
         });
   }

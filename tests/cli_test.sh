@@ -3,6 +3,16 @@
 # interactive command. Run by ctest with the binary path as $1.
 set -euo pipefail
 
+# Matches a pattern in everything on stdin. `producer | grep -q` stops
+# reading at the first match, so under pipefail a producer still writing
+# dies of SIGPIPE and the check fails though the text matched (seen under
+# load); reading to the end first avoids that.
+has() {
+  local input
+  input="$(cat)"
+  grep -q "$@" <<< "$input"
+}
+
 OPMAP="$1"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
@@ -12,14 +22,14 @@ fail() { echo "FAIL: $1" >&2; exit 1; }
 "$OPMAP" >/dev/null 2>&1 && fail "no-arg invocation should exit non-zero"
 
 "$OPMAP" generate --records=20000 --attributes=12 --out="$DIR/d.opmd" \
-    | grep -q "wrote 20000 records" || fail "generate"
+    | has "wrote 20000 records" || fail "generate"
 
-"$OPMAP" info --data="$DIR/d.opmd" | grep -q "PhoneModel" || fail "info data"
+"$OPMAP" info --data="$DIR/d.opmd" | has "PhoneModel" || fail "info data"
 
 "$OPMAP" cubes --data="$DIR/d.opmd" --out="$DIR/d.opmc" \
-    | grep -q "built" || fail "cubes"
+    | has "built" || fail "cubes"
 
-"$OPMAP" info --cubes="$DIR/d.opmc" | grep -q "cube store" || fail "info cubes"
+"$OPMAP" info --cubes="$DIR/d.opmc" | has "cube store" || fail "info cubes"
 
 # Blocked-kernel tile size: any --block-rows value must yield a
 # byte-identical store; invalid values exit 4 like --threads.
@@ -33,28 +43,28 @@ rc=0; "$OPMAP" cubes --data="$DIR/d.opmd" --out="$DIR/x.opmc" \
     --block-rows=abc >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "--block-rows=abc should exit 4 (got $rc)"
 
-"$OPMAP" overview --cubes="$DIR/d.opmc" | grep -q "Overall visualization" \
+"$OPMAP" overview --cubes="$DIR/d.opmc" | has "Overall visualization" \
     || fail "overview"
 
 "$OPMAP" detail --cubes="$DIR/d.opmc" --attribute=PhoneModel \
-    | grep -q "ph01" || fail "detail"
+    | has "ph01" || fail "detail"
 
 "$OPMAP" compare --cubes="$DIR/d.opmc" --attribute=PhoneModel \
     --good=ph01 --bad=ph03 --class=dropped-while-in-progress \
-    | grep -q "TimeOfCall" || fail "compare"
+    | has "TimeOfCall" || fail "compare"
 
 "$OPMAP" compare --cubes="$DIR/d.opmc" --attribute=PhoneModel \
     --good=ph01 --bad=ph03 --class=dropped-while-in-progress --json \
-    | grep -q '"ranked"' || fail "compare --json"
+    | has '"ranked"' || fail "compare --json"
 
 "$OPMAP" vsrest --cubes="$DIR/d.opmc" --attribute=TimeOfCall \
     --value=morning --class=dropped-while-in-progress \
-    | grep -q "not(morning)" || fail "vsrest"
+    | has "not(morning)" || fail "vsrest"
 
 "$OPMAP" pairs --cubes="$DIR/d.opmc" --attribute=PhoneModel \
-    --class=dropped-while-in-progress | grep -q "good vs bad" || fail "pairs"
+    --class=dropped-while-in-progress | has "good vs bad" || fail "pairs"
 
-"$OPMAP" gi --cubes="$DIR/d.opmc" | grep -q "Influential attributes" \
+"$OPMAP" gi --cubes="$DIR/d.opmc" | has "Influential attributes" \
     || fail "gi"
 
 # CSV ingestion path.
@@ -70,7 +80,7 @@ a,-97,bad
 b,-73,ok
 EOF
 "$OPMAP" csv2data --in="$DIR/t.csv" --class=result --out="$DIR/t.opmd" \
-    | grep -q "discretized" || fail "csv2data"
+    | has "discretized" || fail "csv2data"
 "$OPMAP" cubes --data="$DIR/t.opmd" --out="$DIR/t.opmc" >/dev/null \
     || fail "cubes from csv data"
 
@@ -105,7 +115,7 @@ echo "PASS report"
 # Unknown flags exit 4 and name the offending flag, on every command.
 rc=0; out=$("$OPMAP" overview --cubes="$DIR/d.opmc" --bogus=1 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "unknown flag should exit 4 (got $rc)"
-echo "$out" | grep -q -- "--bogus" || fail "unknown-flag error should name it"
+grep -q -- "--bogus" <<< "$out" || fail "unknown-flag error should name it"
 rc=0; "$OPMAP" generate --records=10 --out="$DIR/x.opmd" --nope=1 \
     >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "generate unknown flag should exit 4 (got $rc)"
@@ -129,12 +139,12 @@ OPMAP_KERNEL=reference "$OPMAP" cubes --data="$DIR/d.opmd" \
 cmp -s "$DIR/d.opmc" "$DIR/kenv.opmc" || fail "OPMAP_KERNEL store differs"
 rc=0; out=$("$OPMAP" mine --data="$DIR/d.opmd" --kernel=fast 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "mine bad --kernel value should exit 4 (got $rc)"
-echo "$out" | grep -q "fast" || fail "bad-kernel error should name the value"
+grep -q "fast" <<< "$out" || fail "bad-kernel error should name the value"
 rc=0; "$OPMAP" cubes --data="$DIR/d.opmd" --out="$DIR/x.opmc" \
     --kernel=warp9 >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "cubes bad --kernel value should exit 4 (got $rc)"
 "$OPMAP" mine --data="$DIR/d.opmd" --kernel=simd --top=3 \
-    | grep -q "rules" || fail "mine --kernel=simd"
+    | has "rules" || fail "mine --kernel=simd"
 
 # --mmap=off (eager load) must serve byte-identical answers; bad values
 # exit 4.
@@ -202,7 +212,7 @@ echo "PASS observability"
 # identical rule list.
 m0=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=5) \
     || fail "mine"
-echo "$m0" | grep -q "mined " || fail "mine summary line"
+grep -q "mined " <<< "$m0" || fail "mine summary line"
 m7=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=5 \
     --block-rows=7) || fail "mine --block-rows"
 [ "$m0" = "$m7" ] || fail "mine --block-rows=7 changed the rules"
@@ -215,7 +225,7 @@ echo "PASS serving"
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --class=result \
     --batch-rows=3 --compact-every=2 --verbose 2>"$DIR/ing.stats") \
     || fail "ingest fresh"
-echo "$out" | grep -q "ingested 8 rows in 3 batches" || fail "ingest summary"
+grep -q "ingested 8 rows in 3 batches" <<< "$out" || fail "ingest summary"
 [ -f "$DIR/ing/MANIFEST" ] || fail "ingest manifest missing"
 grep -q "wal: next_seq=" "$DIR/ing.stats" || fail "ingest verbose wal line"
 grep -q "compaction: generation=" "$DIR/ing.stats" \
@@ -226,18 +236,18 @@ grep -q "torn_tail=clean" "$DIR/ing.stats" || fail "ingest clean tail"
 # re-encoded against the stored dictionaries; the WAL tail is replayed.
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --verbose \
     2>"$DIR/ing2.stats") || fail "ingest reopen"
-echo "$out" | grep -q "seq 4..4" || fail "ingest reopen continues sequence"
+grep -q "seq 4..4" <<< "$out" || fail "ingest reopen continues sequence"
 grep -q "replayed_records=1" "$DIR/ing2.stats" || fail "ingest replay count"
 
 # Flag validation: unknown flags and bad values exit 4 naming the problem.
 rc=0; out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --bogus=1 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest unknown flag should exit 4 (got $rc)"
-echo "$out" | grep -q -- "--bogus" || fail "ingest unknown-flag should name it"
+grep -q -- "--bogus" <<< "$out" || fail "ingest unknown-flag should name it"
 rc=0; out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --fsync=sometimes 2>&1) || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest --fsync=sometimes should exit 4 (got $rc)"
-echo "$out" | grep -q "sometimes" || fail "ingest bad fsync should name value"
+grep -q "sometimes" <<< "$out" || fail "ingest bad fsync should name value"
 rc=0; "$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" --batch-rows=0 \
     >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 4 ] || fail "ingest --batch-rows=0 should exit 4 (got $rc)"
@@ -263,11 +273,11 @@ grep -q "opmapd listening on unix:$DIR/opmapd.sock" "$DIR/serve.out" \
 out=$("$OPMAP" loadgen --connect="unix:$DIR/opmapd.sock" --clients=2 \
     --requests=200 --duration=30 --warmup-ms=0 --cubes="$DIR/d.opmc" \
     --json="$DIR/BENCH_server.json") || fail "loadgen"
-echo "$out" | grep -qE "loadgen: [0-9]+ ok, [0-9]+ error, [0-9]+ shed" \
+grep -q -E "loadgen: [0-9]+ ok, [0-9]+ error, [0-9]+ shed" <<< "$out" \
     || fail "loadgen summary line"
-echo "$out" | grep -qE "^compare +[0-9]+ +[0-9]+" \
+grep -q -E "^compare +[0-9]+ +[0-9]+" <<< "$out" \
     || fail "loadgen per-op latency table"
-echo "$out" | grep -q "local compare baseline p50" \
+grep -q "local compare baseline p50" <<< "$out" \
     || fail "loadgen in-process baseline line"
 [ -f "$DIR/BENCH_server.json" ] || fail "loadgen wrote no bench JSON"
 if command -v python3 >/dev/null 2>&1; then
@@ -310,8 +320,8 @@ grep -q "2 loops" "$DIR/serve2.err" || fail "serve2 verbose loop count"
 out=$("$OPMAP" loadgen --connect="$ADDR" --clients=2 --duration=0.8 \
     --warmup-ms=100 --mix=ping:1 --sweep=50,100 \
     --json="$DIR/BENCH_sweep.json") || fail "loadgen sweep"
-echo "$out" | grep -q -- "-- sweep 50 qps --" || fail "sweep banner"
-echo "$out" | grep -q "open-loop: offered 100.0 qps" \
+grep -q -- "-- sweep 50 qps --" <<< "$out" || fail "sweep banner"
+grep -q "open-loop: offered 100.0 qps" <<< "$out" \
     || fail "sweep open-loop summary"
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; recs=json.load(open(sys.argv[1])); \
@@ -347,7 +357,7 @@ grep -q "opmapd listening" "$DIR/serve3.out" \
 
 out=$("$OPMAP" ingest --dir="$DIR/ing" --csv="$DIR/t.csv" \
     --notify="unix:$DIR/opmapd2.sock") || fail "ingest --notify"
-echo "$out" | grep -q "notified unix:$DIR/opmapd2.sock" \
+grep -q "notified unix:$DIR/opmapd2.sock" <<< "$out" \
     || fail "ingest --notify confirmation line"
 grep -q "opmapd: reloaded $DIR/ing/cubes-" "$DIR/serve3.err" \
     || fail "daemon did not log the notified reload"

@@ -7,7 +7,10 @@
 // prefix byte for byte.
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -18,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "opmap/common/io.h"
+#include "opmap/common/metrics.h"
 #include "opmap/core/session.h"
 #include "opmap/ingest/ingester.h"
 #include "test_util.h"
@@ -139,9 +143,225 @@ TEST(Ingester, SnapshotIsCachedAndImmutable) {
   ASSERT_OK(ing->AppendBatch(DrillBatch(schema, 2)).status());
   ASSERT_OK_AND_ASSIGN(auto snap2, ing->Snapshot());
   EXPECT_NE(snap1.get(), snap2.get());
-  // The old snapshot still serves the old data after appends + compaction.
+  const std::string before2 = StoreBytes(*snap2);
+  // Later appends recycle every store no reader holds (the writer's spare
+  // is caught up in place), and compactions rewrite the container; the
+  // held snapshots keep their bytes through all of it.
+  std::vector<uint64_t> ids = {1, 2};
+  for (uint64_t id = 3; id <= 8; ++id) {
+    ASSERT_OK(ing->AppendBatch(DrillBatch(schema, id)).status());
+    ids.push_back(id);
+    if (id % 3 == 0) ASSERT_OK(ing->Compact());
+    EXPECT_EQ(StoreBytes(*snap1), before);
+    EXPECT_EQ(StoreBytes(*snap2), before2);
+  }
   ASSERT_OK(ing->Compact());
   EXPECT_EQ(StoreBytes(*snap1), before);
+  EXPECT_EQ(StoreBytes(*snap2), before2);
+  ASSERT_OK_AND_ASSIGN(auto latest, ing->Snapshot());
+  EXPECT_EQ(StoreBytes(*latest),
+            CleanBuildBytes(schema, ids, DrillOptions().cube));
+  ASSERT_OK(ing->Close());
+}
+
+TEST(Ingester, UnreadAppendsReuseTheSpareStore) {
+  const Schema schema = DrillSchema();
+  const std::string dir = FreshDir("ingest_reuse");
+  ASSERT_OK_AND_ASSIGN(
+      auto ing,
+      Ingester::Create(Env::Default(), dir, schema, DrillOptions()));
+  Counter* const clones =
+      MetricsRegistry::Global()->counter("ingest.publish_clones");
+  std::vector<uint64_t> ids;
+  const int64_t start = clones->Value();
+  // Nobody reads: only the first append, which has no spare yet, copies
+  // the store; every later one catches the spare up in place.
+  for (uint64_t id = 1; id <= 6; ++id) {
+    ASSERT_OK(ing->AppendBatch(DrillBatch(schema, id)).status());
+    ids.push_back(id);
+  }
+  EXPECT_EQ(clones->Value() - start, 1);
+  // A held snapshot cannot be recycled: the append that would reuse it
+  // copies instead, and the one after that reuses again.
+  ASSERT_OK_AND_ASSIGN(auto held, ing->Snapshot());
+  const std::string held_bytes = StoreBytes(*held);
+  for (uint64_t id = 7; id <= 9; ++id) {
+    ASSERT_OK(ing->AppendBatch(DrillBatch(schema, id)).status());
+    ids.push_back(id);
+  }
+  EXPECT_EQ(clones->Value() - start, 2);
+  EXPECT_EQ(StoreBytes(*held), held_bytes);
+  ASSERT_OK_AND_ASSIGN(auto latest, ing->Snapshot());
+  EXPECT_EQ(StoreBytes(*latest),
+            CleanBuildBytes(schema, ids, DrillOptions().cube));
+  ASSERT_OK(ing->Close());
+}
+
+// An Env whose WritableFile::Sync() parks, once armed, until released:
+// holds one append inside its WAL fsync with the writer mutex taken.
+class ParkingSyncEnv : public Env {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    OPMAP_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                           Env::Default()->NewWritableFile(path));
+    return std::unique_ptr<WritableFile>(new File(this, std::move(file)));
+  }
+  Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) override {
+    return Env::Default()->NewSequentialFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return Env::Default()->RenameFile(from, to);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return Env::Default()->DeleteFile(path);
+  }
+  Status CreateDir(const std::string& path) override {
+    return Env::Default()->CreateDir(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return Env::Default()->FileExists(path);
+  }
+  void SleepMicros(int64_t micros) override {
+    Env::Default()->SleepMicros(micros);
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(ParkingSyncEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const char* data, size_t n) override {
+      return base_->Append(data, n);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      env_->Park();
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    ParkingSyncEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !armed_; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+};
+
+TEST(Ingester, SnapshotDoesNotWaitForAnAppendInItsFsync) {
+  const Schema schema = DrillSchema();
+  const std::string dir = FreshDir("ingest_nowait");
+  ParkingSyncEnv env;
+  IngestOptions options = DrillOptions();
+  options.wal.max_segment_bytes = 1 << 20;  // the one sync is the append's
+  ASSERT_OK_AND_ASSIGN(auto ing,
+                       Ingester::Create(&env, dir, schema, options));
+  ASSERT_OK(ing->AppendBatch(DrillBatch(schema, 1)).status());
+  ASSERT_OK_AND_ASSIGN(auto before, ing->Snapshot());
+
+  env.Arm();
+  std::thread writer([&] {
+    EXPECT_OK(ing->AppendBatch(DrillBatch(schema, 2)).status());
+  });
+  env.WaitUntilParked();
+  // Batch 2 is inside its fsync with the writer mutex held. Snapshot()
+  // must return the store published before it, without waiting.
+  auto snapshot =
+      std::async(std::launch::async, [&] { return ing->Snapshot(); });
+  if (snapshot.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "Snapshot() waited for an append parked in its fsync";
+  }
+  env.Release();
+  writer.join();
+  ASSERT_OK_AND_ASSIGN(auto during, snapshot.get());
+  EXPECT_EQ(during.get(), before.get());
+  EXPECT_EQ(during->num_records(), 5);
+
+  ASSERT_OK_AND_ASSIGN(auto after, ing->Snapshot());
+  EXPECT_EQ(after->num_records(), 10);
+  EXPECT_EQ(StoreBytes(*after), CleanBuildBytes(schema, {1, 2}, options.cube));
+  ASSERT_OK(ing->Close());
+}
+
+TEST(Ingester, ConcurrentReadersSeeEveryAckedBatchInOrder) {
+  // One writer, three readers. Per reader, num_records never goes back
+  // and is always a whole number of 5-row batches; a snapshot taken after
+  // AppendBatch returned seq s holds at least s batches; a held snapshot
+  // keeps its bytes while the writer recycles other stores; the final
+  // store equals one CubeBuilder pass over every batch.
+  const Schema schema = DrillSchema();
+  const std::string dir = FreshDir("ingest_readers");
+  IngestOptions options = DrillOptions();
+  options.wal.sync_every_append = false;
+  options.compact_every_batches = 16;
+  ASSERT_OK_AND_ASSIGN(auto ing,
+                       Ingester::Create(Env::Default(), dir, schema, options));
+  constexpr uint64_t kBatches = 200;
+  std::atomic<uint64_t> acked{0};
+  std::atomic<bool> done{false};
+  auto reader = [&] {
+    int64_t last = 0;
+    std::shared_ptr<const CubeStore> held;
+    std::string held_bytes;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t acked_before = acked.load(std::memory_order_acquire);
+      auto snap = ing->Snapshot();
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      const int64_t records = (*snap)->num_records();
+      EXPECT_GE(records, last);
+      EXPECT_EQ(records % 5, 0);
+      EXPECT_GE(records, static_cast<int64_t>(acked_before) * 5);
+      last = records;
+      if (held != nullptr) {
+        EXPECT_EQ(StoreBytes(*held), held_bytes);
+      }
+      held = snap.MoveValue();
+      held_bytes = StoreBytes(*held);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+  std::vector<uint64_t> ids;
+  for (uint64_t id = 1; id <= kBatches; ++id) {
+    auto seq = ing->AppendBatch(DrillBatch(schema, id));
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    acked.store(*seq, std::memory_order_release);
+    ids.push_back(id);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  ASSERT_OK_AND_ASSIGN(auto final_store, ing->Snapshot());
+  EXPECT_EQ(final_store->num_records(), static_cast<int64_t>(kBatches) * 5);
+  EXPECT_EQ(StoreBytes(*final_store),
+            CleanBuildBytes(schema, ids, options.cube));
   ASSERT_OK(ing->Close());
 }
 
@@ -344,10 +564,17 @@ TEST(Ingester, CompactionBumpsCacheEpochAndPreservesQueryResults) {
   ASSERT_OK_AND_ASSIGN(auto snapshot, ing->Snapshot());
   QueryEngine engine(snapshot.get());
   ing->set_cache(engine.cache());
+  // The hook keeps only a raw pointer, as QueryEngine::SetStore does.
+  const CubeStore* hooked = nullptr;
+  std::string hooked_bytes;
   ing->set_publish_hook(
-      [&engine](const CubeStore* store, const std::string& cube_path) {
+      [&engine, &hooked, &hooked_bytes](
+          const std::shared_ptr<const CubeStore>& store,
+          const std::string& cube_path) {
         EXPECT_FALSE(cube_path.empty());
-        engine.SetStore(store);
+        hooked = store.get();
+        hooked_bytes = StoreBytes(*store);
+        engine.SetStore(hooked);
         return Status::OK();
       });
 
@@ -368,7 +595,14 @@ TEST(Ingester, CompactionBumpsCacheEpochAndPreservesQueryResults) {
     EXPECT_EQ(before[i].cf_b, after[i].cf_b);
     EXPECT_EQ(before[i].top_interestingness, after[i].top_interestingness);
   }
-  (void)snapshot;  // the pre-compaction snapshot outlives the swap
+
+  // With no snapshot held, later appends would recycle the hooked store;
+  // the ingester keeps it unchanged until the next compaction.
+  snapshot.reset();
+  for (uint64_t id = 7; id <= 9; ++id) {
+    ASSERT_OK(ing->AppendBatch(DrillBatch(schema, id)).status());
+  }
+  EXPECT_EQ(StoreBytes(*hooked), hooked_bytes);
   ASSERT_OK(ing->Close());
 }
 
@@ -381,7 +615,8 @@ TEST(Ingester, PublishHookFailureIsCountedNotFatal) {
   ASSERT_OK(ing->AppendBatch(DrillBatch(schema, 1)).status());
   int calls = 0;
   ing->set_publish_hook(
-      [&calls](const CubeStore* store, const std::string& /*cube_path*/) {
+      [&calls](const std::shared_ptr<const CubeStore>& store,
+               const std::string& /*cube_path*/) {
         ++calls;
         EXPECT_NE(store, nullptr);
         return Status::Internal("subscriber rejected the store");

@@ -40,7 +40,9 @@ non-positive rate, if the concurrent query latency percentiles are
 inconsistent (ingest/query_p50 above ingest/query_p99, or no sweep ever
 completed), or if recovery replayed no WAL records (the bench always
 holds back a tail to replay). The absolute append-rate floor is a rate
-guard and obeys the one-core skip below.
+guard and obeys the one-core skip below, as does the reader bound:
+ingest/query_p99 must stay within MAX_QUERY_P99_APPEND_FRACTION of the
+ingest/append wall time, since Snapshot() never waits for an append.
 
 Daemon serving ops (BENCH_server.json, from `opmap loadgen --json`):
 ops starting with "server/". The file must carry a server/qps record
@@ -133,6 +135,16 @@ MIN_PARALLEL_EFFICIENCY = 0.4
 # far below any healthy measurement (~100x): it catches an accidentally
 # serialized or fsync-per-row configuration, not ordinary jitter.
 MIN_APPEND_ROWS_PER_S = 1000.0
+
+# Ceiling on the concurrent reader's tail under ingest: ingest/query_p99
+# (one Snapshot() plus an all-pairs sweep) may take at most this fraction
+# of the whole ingest/append phase. A reader that never waits for the
+# writer finishes a sweep in a few milliseconds of a phase lasting about a
+# second; one queued behind appends and snapshot merges takes about the
+# whole phase (1.01 measured on 4 cores with the lock-and-merge snapshot,
+# 0.001 with copy-on-write publishing). Armed only with >= 2 cores, where
+# the reader has a core of its own.
+MAX_QUERY_P99_APPEND_FRACTION = 0.1
 
 # Absolute floor on daemon request throughput (requests/s across all
 # loadgen clients). Same philosophy as the append floor: a healthy run
@@ -379,6 +391,25 @@ def check_ingest_ops(path: str, ingest: dict, skip_speedups: bool) -> bool:
             print(f"check_bench: FAIL: no concurrent sweep ever completed "
                   f"during the ingest run in {path}", file=sys.stderr)
             failed = True
+        if append is not None and float(append["wall_ms"]) > 0:
+            append_ms = float(append["wall_ms"])
+            fraction = w99 / append_ms
+            print(f"{'ingest query p99 / append phase':40s} "
+                  f"{fraction:10.3f} (max "
+                  f"{MAX_QUERY_P99_APPEND_FRACTION:.2f})")
+            if fraction > MAX_QUERY_P99_APPEND_FRACTION:
+                if skip_speedups:
+                    print(f"check_bench: SKIP (hardware_concurrency=1): "
+                          f"ingest/query_p99 is {fraction:.3f} of the "
+                          f"append phase")
+                else:
+                    print(f"check_bench: FAIL: ingest/query_p99 "
+                          f"({w99:.2f} ms) exceeds "
+                          f"{MAX_QUERY_P99_APPEND_FRACTION:.2f} x the "
+                          f"ingest/append phase ({append_ms:.2f} ms) in "
+                          f"{path} — the reader waited for the writer",
+                          file=sys.stderr)
+                    failed = True
 
     if recover is not None:
         if float(recover.get("items_per_s", 0.0)) <= 0:

@@ -10,7 +10,8 @@
 #            shared query cache under CompareAllPairs, lazy per-cube
 #            verification of mapped stores, and the WAL-backed ingester
 #            under concurrent writers).
-#            ASan and TSan are mutually exclusive builds.
+#            ASan and TSan are mutually exclusive builds. Exits 1
+#            without building when fewer than 2 CPUs are online.
 #     ctest-regex (optional): restrict the run to matching tests — the
 #            crash-drill CI job passes 'wal_test|ingest_test' to sweep
 #            every power-cut injection point under the sanitizers.
@@ -28,6 +29,18 @@ case "$MODE" in
     exit 2
     ;;
 esac
+
+if [[ "$MODE" == "thread" ]]; then
+  # A race needs two threads running at once to show: on one online CPU
+  # TSan sees only interleavings the scheduler happened to pick, and a
+  # green run proves little. Refuse instead of passing quietly.
+  ONLINE_CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc)"
+  if (( ONLINE_CPUS < 2 )); then
+    echo "ci_sanitize.sh: thread mode needs >= 2 online CPUs, found" \
+      "$ONLINE_CPUS" >&2
+    exit 1
+  fi
+fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

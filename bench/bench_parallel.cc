@@ -161,8 +161,9 @@ void RunServing(const Dataset& dataset, const ParallelOptions& parallel,
 //                     counting + copy-on-write publishing + the
 //                     compactions that fell inside)
 //   ingest/query_p50  wall_ms = median all-pairs sweep latency measured
-//                     concurrently with the writer; items/s = sweeps
-//                     completed per second over the append phase
+//                     concurrently with the writer, from the first
+//                     acknowledged batch on; items/s = sweeps completed
+//                     per second over the append phase
 //   ingest/query_p99  same run, 99th-percentile latency; Snapshot() is
 //                     a pointer copy that never waits for an append, so
 //                     tools/check_bench.py bounds it by a fraction of the
@@ -215,6 +216,16 @@ void RunIngest(const Dataset& dataset, const ParallelOptions& parallel,
     batches.push_back(std::move(batch));
   }
 
+  const int64_t append_start_us = MonotonicMicros();
+  int64_t rows_acked = 0;
+  auto append = [&](const Dataset& batch) {
+    bench::CheckOk(ing->AppendBatch(batch).status(), "ingest append");
+    rows_acked += batch.num_rows();
+  };
+  // The reader starts once the first append is acknowledged, so every
+  // timed sweep runs over a snapshot holding at least one batch (sweeps of
+  // the empty store return in a microsecond and would drown the median).
+  append(batches.front());
   std::atomic<bool> done{false};
   std::vector<double> latencies_ms;  // reader-owned until the join
   std::thread reader([&] {
@@ -227,13 +238,7 @@ void RunIngest(const Dataset& dataset, const ParallelOptions& parallel,
       latencies_ms.push_back(bench::MillisSince(q_start_us));
     }
   });
-
-  const int64_t append_start_us = MonotonicMicros();
-  int64_t rows_acked = 0;
-  for (const Dataset& batch : batches) {
-    bench::CheckOk(ing->AppendBatch(batch).status(), "ingest append");
-    rows_acked += batch.num_rows();
-  }
+  for (size_t b = 1; b < batches.size(); ++b) append(batches[b]);
   const double append_ms = bench::MillisSince(append_start_us);
   done.store(true, std::memory_order_release);
   reader.join();
@@ -301,11 +306,11 @@ void RunIngest(const Dataset& dataset, const ParallelOptions& parallel,
 // keys its guard off the record's "simd" field instead of the op name.
 //
 // Every row is the minimum of kScalingReps runs (1 for the reference
-// tier, whose 30s+ runs are both too slow to repeat and too far from
-// the blocked/simd pair for noise to matter): the simd-over-blocked
-// margin can be ~10% while scheduler noise on a busy host is of the
-// same order, and min-of-N is the standard estimator for the true cost
-// of a deterministic computation.
+// tier, several times slower than the blocked/simd pair, so noise cannot
+// flip its guard): the simd-over-blocked margin can be ~10% while
+// scheduler noise on a busy host is of the same order, and min-of-N is
+// the standard estimator for the true cost of a deterministic
+// computation.
 constexpr int kScalingReps = 3;
 
 void RunScaling(const Dataset& dataset, int64_t records,
@@ -437,7 +442,7 @@ void Main(int argc, char** argv) {
   // Pinned blocked/simd counting rows take the min of kScalingReps runs:
   // their mutual margin can be ~10%, the same order as scheduler noise
   // on a busy host, and check_bench.py compares these rows directly. The
-  // reference tier is 5-100x off, so one (much slower) run is plenty.
+  // reference tier is several times off, so one (slower) run is plenty.
   const int count_reps =
       kernel_pinned && kernel != CountKernel::kReference ? kScalingReps : 1;
 
@@ -491,7 +496,7 @@ void Main(int argc, char** argv) {
            static_cast<double>(pairs.size()) / ms * 1e3);
   }
 
-  // CAR-miner level-wise counting.
+  // CAR mining: the cube build behind levels 1-2 plus the cell walk.
   {
     CarMinerOptions options;
     options.min_support = 0.01;

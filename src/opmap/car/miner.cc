@@ -2,20 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <iterator>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "opmap/common/metrics.h"
 #include "opmap/common/parallel.h"
-#include "opmap/common/simd.h"
 #include "opmap/common/trace.h"
-#include "opmap/cube/count_kernels.h"
 
 namespace opmap {
 
 namespace {
+
+// Upper bound on the cubes a mining pass builds. Two 65536-value
+// attributes would need 2^32 pair cells per class, so the build answers
+// OutOfRange instead of dying in the allocator. The largest store any
+// test, example or benchmark mines is about 10 MB.
+constexpr int64_t kMaxMiningCubeBytes = int64_t{1} << 30;
 
 // Packed (attribute, value) item. Attribute and value each fit in 32 bits.
 using Item = uint64_t;
@@ -31,8 +36,10 @@ ValueCode ItemValue(Item it) {
 }
 
 // A candidate body is a sorted vector of items.
+using Body = std::vector<Item>;
+
 struct BodyHash {
-  size_t operator()(const std::vector<Item>& body) const {
+  size_t operator()(const Body& body) const {
     uint64_t h = 1469598103934665603ULL;  // FNV offset basis
     for (Item it : body) {
       h ^= it;
@@ -42,10 +49,116 @@ struct BodyHash {
   }
 };
 
-using BodyCounts =
-    std::unordered_map<std::vector<Item>, std::vector<int64_t>, BodyHash>;
+// The documented rule order: number of conditions, then the attributes,
+// then the values, then the class.
+bool RuleOrderLess(const ClassRule& a, const ClassRule& b) {
+  if (a.conditions.size() != b.conditions.size()) {
+    return a.conditions.size() < b.conditions.size();
+  }
+  for (size_t i = 0; i < a.conditions.size(); ++i) {
+    if (a.conditions[i].attribute != b.conditions[i].attribute) {
+      return a.conditions[i].attribute < b.conditions[i].attribute;
+    }
+  }
+  for (size_t i = 0; i < a.conditions.size(); ++i) {
+    if (a.conditions[i].value != b.conditions[i].value) {
+      return a.conditions[i].value < b.conditions[i].value;
+    }
+  }
+  return a.class_value < b.class_value;
+}
 
-Condition ToCondition(Item it) { return Condition{ItemAttr(it), ItemValue(it)}; }
+// Thresholds and the fixed conditions every emitted rule carries.
+struct EmitSpec {
+  int64_t minsup = 0;
+  double min_confidence = 0.0;
+  std::vector<Condition> fixed;  // sorted
+  int num_classes = 0;
+};
+
+bool Frequent(const int64_t* counts, const EmitSpec& spec) {
+  if (spec.minsup == 0) return true;  // everything is frequent at 0
+  return *std::max_element(counts, counts + spec.num_classes) >= spec.minsup;
+}
+
+// Appends the rules of one body (sorted conditions) whose per-class
+// counts are counts[0..num_classes), in class order.
+void EmitBody(const Condition* body, size_t body_len, const int64_t* counts,
+              const EmitSpec& spec, std::vector<ClassRule>* out) {
+  int64_t body_count = 0;
+  for (int y = 0; y < spec.num_classes; ++y) body_count += counts[y];
+  for (int y = 0; y < spec.num_classes; ++y) {
+    const int64_t sup = counts[y];
+    if (sup < spec.minsup) continue;
+    const double conf =
+        body_count > 0
+            ? static_cast<double>(sup) / static_cast<double>(body_count)
+            : 0.0;
+    if (conf < spec.min_confidence) continue;
+    ClassRule rule;
+    rule.conditions.reserve(spec.fixed.size() + body_len);
+    std::merge(spec.fixed.begin(), spec.fixed.end(), body, body + body_len,
+               std::back_inserter(rule.conditions));
+    rule.class_value = static_cast<ValueCode>(y);
+    rule.support_count = sup;
+    rule.body_count = body_count;
+    out->push_back(std::move(rule));
+  }
+}
+
+// The cell walk: every attribute cube (level 1), then with `levels` == 2
+// every pair cube in store order (level 2), emitting rules in the
+// documented order. With `frequent_pairs` non-null, also collects the
+// level-2 bodies that can still seed longer rules.
+Status WalkCubes(const CubeStore& store, int levels, const EmitSpec& spec,
+                 std::vector<ClassRule>* out,
+                 std::vector<Body>* frequent_pairs) {
+  OPMAP_TRACE_SPAN("car.emit");
+  const std::vector<int>& attrs = store.attributes();
+  const Schema& schema = store.schema();
+  const int nc = spec.num_classes;
+  int64_t cells = 0;
+  for (int a : attrs) {
+    OPMAP_ASSIGN_OR_RETURN(const RuleCube* cube, store.AttrCube(a));
+    const int64_t* counts = cube->raw_counts();
+    const ValueCode domain = schema.attribute(a).domain();
+    for (ValueCode v = 0; v < domain; ++v) {
+      const Condition body[] = {{a, v}};
+      EmitBody(body, 1, counts + static_cast<int64_t>(v) * nc, spec, out);
+    }
+    cells += cube->num_cells();
+  }
+  int64_t pairs = 0;
+  if (levels >= 2) {
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      for (size_t j = i + 1; j < attrs.size(); ++j) {
+        const int a = attrs[i];
+        const int b = attrs[j];
+        OPMAP_ASSIGN_OR_RETURN(const RuleCube* cube, store.PairCube(a, b));
+        const int64_t* counts = cube->raw_counts();
+        const ValueCode da = schema.attribute(a).domain();
+        const ValueCode db = schema.attribute(b).domain();
+        for (ValueCode va = 0; va < da; ++va) {
+          for (ValueCode vb = 0; vb < db; ++vb) {
+            const int64_t* cell =
+                counts + (static_cast<int64_t>(va) * db + vb) * nc;
+            const Condition body[] = {{a, va}, {b, vb}};
+            EmitBody(body, 2, cell, spec, out);
+            if (frequent_pairs != nullptr && Frequent(cell, spec)) {
+              frequent_pairs->push_back({MakeItem(a, va), MakeItem(b, vb)});
+            }
+          }
+        }
+        cells += cube->num_cells();
+        ++pairs;
+      }
+    }
+  }
+  MetricsRegistry* const metrics = MetricsRegistry::Global();
+  metrics->counter("car.candidates_evaluated")->Increment(cells);
+  metrics->counter("car.pairs_counted")->Increment(pairs);
+  return Status::OK();
+}
 
 // Shards a counting pass over `num_rows` rows: the configured thread count,
 // clamped so tiny inputs stay serial (shard buffers are not free).
@@ -70,73 +183,156 @@ std::vector<int64_t>& MergeShardCounts(
   return total;
 }
 
-// Level-2 candidates of one attribute pair, grouped so the blocked pass
-// can count the whole pair densely and read the candidate cells out.
-struct PairGroup {
-  int col_a = 0;  // indices into the packed column set (free-attr order)
-  int col_b = 0;
-  // One entry per candidate body on this pair: (value_a, value_b, slot).
-  struct Cand {
-    ValueCode va;
-    ValueCode vb;
-    int64_t slot;
-  };
-  std::vector<Cand> cands;
-};
+// Levels 3..max_level: grows `level` (the frequent level-2 bodies) by
+// Apriori joins and counts each level's candidates by enumerating item
+// combinations over every row of `data`. Appends the rules sorted to the
+// documented order.
+void ScanLongerRules(const Dataset& data, const std::vector<int>& free_attrs,
+                     std::vector<Body> level, int max_level,
+                     const EmitSpec& spec, const ParallelOptions& parallel,
+                     std::vector<ClassRule>* out) {
+  OPMAP_TRACE_SPAN("car.scan");
+  const int nc = spec.num_classes;
+  const size_t first_rule = out->size();
+  for (int k = 3; k <= max_level && !level.empty(); ++k) {
+    // Candidate generation: join bodies sharing the first k-2 items, with
+    // the last items on different attributes; prune by downward closure.
+    std::sort(level.begin(), level.end());
+    const std::unordered_set<Body, BodyHash> prev_set(
+        level.begin(), level.end(), level.size(), BodyHash());
+    std::vector<Body> cands;
+    for (size_t i = 0; i < level.size(); ++i) {
+      for (size_t j = i + 1; j < level.size(); ++j) {
+        const Body& a = level[i];
+        const Body& b = level[j];
+        if (!std::equal(a.begin(), a.end() - 1, b.begin())) break;
+        if (ItemAttr(a.back()) == ItemAttr(b.back())) continue;
+        Body cand = a;
+        cand.push_back(b.back());
+        // Downward closure: all (k-1)-subsets must be frequent (the two
+        // that drop one of the last items are a and b themselves).
+        bool ok = true;
+        if (spec.minsup > 0) {
+          Body sub;
+          for (size_t drop = 0; drop + 2 < cand.size() && ok; ++drop) {
+            sub.clear();
+            for (size_t m = 0; m < cand.size(); ++m) {
+              if (m != drop) sub.push_back(cand[m]);
+            }
+            ok = prev_set.count(sub) > 0;
+          }
+        }
+        if (ok) cands.push_back(std::move(cand));
+      }
+    }
+    if (cands.empty()) break;
+    MetricsRegistry::Global()
+        ->counter("car.candidates_evaluated")
+        ->Increment(static_cast<int64_t>(cands.size()));
 
-// Dense pair buffers above this many cells fall back to a per-group hash
-// probe (exact same counts): adversarial domain pairs must not allocate
-// unbounded scratch.
-constexpr int64_t kMaxDensePairCells = int64_t{1} << 22;
+    // Counting pass. The candidate set is frozen, so each candidate gets
+    // a fixed slot and rows are sharded into private count buffers merged
+    // by addition: the counts cannot depend on the thread count.
+    std::unordered_map<Body, int64_t, BodyHash> cand_slot;
+    cand_slot.reserve(cands.size());
+    for (size_t s = 0; s < cands.size(); ++s) {
+      cand_slot.emplace(cands[s], static_cast<int64_t>(s));
+    }
+    const int64_t num_rows = data.num_rows();
+    const int shards = PlanRowShards(num_rows, parallel);
+    std::vector<std::vector<int64_t>> shard_counts(
+        static_cast<size_t>(shards),
+        std::vector<int64_t>(cands.size() * static_cast<size_t>(nc), 0));
+    ParallelForShards(0, num_rows, shards, [&](int shard, int64_t lo,
+                                               int64_t hi) {
+      int64_t* counts = shard_counts[static_cast<size_t>(shard)].data();
+      std::vector<Item> row_items;
+      Body probe(static_cast<size_t>(k));
+      std::vector<size_t> idx(static_cast<size_t>(k));
+      for (int64_t r = lo; r < hi; ++r) {
+        const ValueCode y = data.class_code(r);
+        if (y == kNullCode) continue;
+        row_items.clear();
+        for (int a : free_attrs) {
+          const ValueCode v = data.code(r, a);
+          if (v == kNullCode) continue;
+          row_items.push_back(MakeItem(a, v));
+        }
+        const size_t m = row_items.size();
+        if (m < static_cast<size_t>(k)) continue;
+        // Enumerate k-combinations of the row's items (row_items is
+        // sorted because free_attrs is ascending and items pack attr
+        // high).
+        for (size_t t = 0; t < static_cast<size_t>(k); ++t) idx[t] = t;
+        for (;;) {
+          for (size_t t = 0; t < static_cast<size_t>(k); ++t) {
+            probe[t] = row_items[idx[t]];
+          }
+          const auto it = cand_slot.find(probe);
+          if (it != cand_slot.end()) ++counts[it->second * nc + y];
+          // Advance combination.
+          int t = k - 1;
+          while (t >= 0 && idx[static_cast<size_t>(t)] ==
+                               m - static_cast<size_t>(k - t)) {
+            --t;
+          }
+          if (t < 0) break;
+          ++idx[static_cast<size_t>(t)];
+          for (size_t u = static_cast<size_t>(t) + 1;
+               u < static_cast<size_t>(k); ++u) {
+            idx[u] = idx[u - 1] + 1;
+          }
+        }
+      }
+    });
+    const std::vector<int64_t>& merged = MergeShardCounts(&shard_counts);
 
-// Counts one level-2 pair group over all selected rows, writing each
-// candidate's per-class counts into its fixed `merged` slots. Groups
-// touch disjoint slots, so groups can run concurrently without merge.
-void CountPairGroup(const PairGroup& group, const PackedColumnSet& packed,
-                    int num_classes, int64_t block_rows, bool use_simd,
-                    std::vector<int64_t>* dense_scratch, int64_t* merged) {
-  const PackedColumn& a = packed.column(group.col_a);
-  const PackedColumn& b = packed.column(group.col_b);
-  const PackedColumn& cls = packed.class_column();
-  const int64_t nc = num_classes;
-  const int64_t db = b.sentinel();  // sentinel == domain
-  const int64_t cells = static_cast<int64_t>(a.sentinel()) * db * nc;
-  const int64_t n = packed.num_rows();
-  if (cells > 0 && cells <= kMaxDensePairCells) {
-    dense_scratch->assign(static_cast<size_t>(cells), 0);
-    // Row-tiled so each pass streams a cache-resident slice of the packed
-    // columns; counts are additive over row ranges, so the tile size never
-    // changes the totals.
-    for (int64_t t0 = 0; t0 < n; t0 += block_rows) {
-      CountPairBlocked(a, b, cls, num_classes, t0,
-                       std::min(n, t0 + block_rows), dense_scratch->data(),
-                       use_simd);
+    std::vector<Body> next;
+    std::vector<Condition> body;
+    for (size_t s = 0; s < cands.size(); ++s) {
+      const int64_t* counts = merged.data() + s * static_cast<size_t>(nc);
+      body.clear();
+      for (Item it : cands[s]) body.push_back({ItemAttr(it), ItemValue(it)});
+      EmitBody(body.data(), body.size(), counts, spec, out);
+      if (Frequent(counts, spec)) next.push_back(std::move(cands[s]));
     }
-    for (const PairGroup::Cand& c : group.cands) {
-      const int64_t* cell =
-          dense_scratch->data() +
-          (static_cast<int64_t>(c.va) * db + c.vb) * nc;
-      int64_t* out = merged + c.slot * nc;
-      for (int64_t y = 0; y < nc; ++y) out[y] = cell[y];
-    }
-    return;
+    level = std::move(next);
   }
-  // Sparse fallback: probe a (value_a, value_b) -> slot map per row.
-  std::unordered_map<int64_t, int64_t> slot_of;
-  slot_of.reserve(group.cands.size());
-  for (const PairGroup::Cand& c : group.cands) {
-    slot_of.emplace(static_cast<int64_t>(c.va) * db + c.vb, c.slot);
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first_rule),
+            out->end(), RuleOrderLess);
+}
+
+Status ValidateThresholds(const CarMinerOptions& options) {
+  if (options.min_support < 0 || options.min_support > 1) {
+    return Status::InvalidArgument("min_support must be in [0, 1]");
   }
-  for (int64_t r = 0; r < n; ++r) {
-    const uint32_t va = a.Get(r);
-    const uint32_t vb = b.Get(r);
-    const uint32_t y = cls.Get(r);
-    if (va == a.sentinel() || vb == b.sentinel() || y == cls.sentinel()) {
-      continue;
-    }
-    const auto it = slot_of.find(static_cast<int64_t>(va) * db + vb);
-    if (it != slot_of.end()) ++merged[it->second * nc + y];
+  if (options.min_confidence < 0 || options.min_confidence > 1) {
+    return Status::InvalidArgument("min_confidence must be in [0, 1]");
   }
+  if (options.max_conditions < 1) {
+    return Status::InvalidArgument("max_conditions must be >= 1");
+  }
+  return Status::OK();
+}
+
+EmitSpec MakeEmitSpec(const CarMinerOptions& options, int64_t base,
+                      int num_classes) {
+  EmitSpec spec;
+  spec.minsup = static_cast<int64_t>(
+      std::ceil(options.min_support * static_cast<double>(base)));
+  spec.min_confidence = options.min_confidence;
+  spec.fixed = options.fixed_conditions;
+  std::sort(spec.fixed.begin(), spec.fixed.end());
+  spec.num_classes = num_classes;
+  return spec;
+}
+
+// Publishes a finished mining pass: rule counter and latency histogram.
+void RecordMine(const RuleSet& rules, int64_t start_us) {
+  MetricsRegistry* const metrics = MetricsRegistry::Global();
+  metrics->counter("car.rules_emitted")
+      ->Increment(static_cast<int64_t>(rules.size()));
+  metrics->histogram("query.mine_us")->Record(MonotonicMicros() - start_us);
 }
 
 }  // namespace
@@ -151,16 +347,7 @@ Result<RuleSet> MineClassAssociationRules(const Dataset& dataset,
         "rule mining requires an all-categorical dataset (discretize "
         "first)");
   }
-  if (options.min_support < 0 || options.min_support > 1) {
-    return Status::InvalidArgument("min_support must be in [0, 1]");
-  }
-  if (options.min_confidence < 0 || options.min_confidence > 1) {
-    return Status::InvalidArgument("min_confidence must be in [0, 1]");
-  }
-  if (options.max_conditions < 1) {
-    return Status::InvalidArgument("max_conditions must be >= 1");
-  }
-  const int num_classes = schema.num_classes();
+  OPMAP_RETURN_NOT_OK(ValidateThresholds(options));
 
   std::unordered_set<int> fixed_attrs;
   for (const Condition& c : options.fixed_conditions) {
@@ -176,26 +363,12 @@ Result<RuleSet> MineClassAssociationRules(const Dataset& dataset,
           "fixed conditions must use distinct attributes");
     }
   }
-
-  // Rows satisfying the fixed conditions (restricted mining scans only
-  // this sub-population).
-  std::vector<int64_t> rows;
-  rows.reserve(static_cast<size_t>(dataset.num_rows()));
-  for (int64_t r = 0; r < dataset.num_rows(); ++r) {
-    bool match = true;
-    for (const Condition& c : options.fixed_conditions) {
-      if (dataset.code(r, c.attribute) != c.value) {
-        match = false;
-        break;
-      }
-    }
-    if (match) rows.push_back(r);
+  const int free_levels = options.max_conditions -
+                          static_cast<int>(options.fixed_conditions.size());
+  if (free_levels < 1) {
+    return Status::InvalidArgument(
+        "max_conditions must exceed the number of fixed conditions");
   }
-
-  // The support threshold is relative to the full dataset so that
-  // restricted mining keeps the same absolute bar.
-  const int64_t minsup_count = static_cast<int64_t>(
-      std::ceil(options.min_support * static_cast<double>(dataset.num_rows())));
 
   // Free attributes usable in rule bodies.
   std::vector<int> free_attrs;
@@ -205,336 +378,83 @@ Result<RuleSet> MineClassAssociationRules(const Dataset& dataset,
     }
   }
 
+  // The support threshold is relative to the full dataset so that
+  // restricted mining keeps the same absolute bar.
+  const EmitSpec spec =
+      MakeEmitSpec(options, dataset.num_rows(), schema.num_classes());
   RuleSet result(dataset.num_rows());
-  std::vector<Condition> fixed_sorted = options.fixed_conditions;
-  std::sort(fixed_sorted.begin(), fixed_sorted.end());
-
-  auto emit_rules = [&](const BodyCounts& level) {
-    for (const auto& [body, counts] : level) {
-      int64_t body_count = 0;
-      for (int64_t c : counts) body_count += c;
-      for (int y = 0; y < num_classes; ++y) {
-        const int64_t sup = counts[static_cast<size_t>(y)];
-        if (sup < minsup_count) continue;
-        const double conf =
-            body_count > 0
-                ? static_cast<double>(sup) / static_cast<double>(body_count)
-                : 0.0;
-        if (conf < options.min_confidence) continue;
-        ClassRule rule;
-        rule.conditions = fixed_sorted;
-        for (Item it : body) rule.conditions.push_back(ToCondition(it));
-        std::sort(rule.conditions.begin(), rule.conditions.end());
-        rule.class_value = static_cast<ValueCode>(y);
-        rule.support_count = sup;
-        rule.body_count = body_count;
-        static Counter* const rules_emitted =
-            MetricsRegistry::Global()->counter("car.rules_emitted");
-        rules_emitted->Increment();
-        result.Add(std::move(rule));
-      }
-    }
-  };
-
-  // --- Level 1 ---
-  // Counted densely: every (free attribute, value, class) cell has a fixed
-  // slot, so rows can be sharded across the thread pool into private
-  // buffers and merged by addition. The level map is then populated in
-  // enumeration order (attribute, then value), which makes both the map
-  // contents and the downstream rule emission order independent of the
-  // thread count.
-  const size_t num_free = free_attrs.size();
-  std::vector<int64_t> item_offset(num_free + 1, 0);
-  for (size_t i = 0; i < num_free; ++i) {
-    item_offset[i + 1] =
-        item_offset[i] + schema.attribute(free_attrs[i]).domain();
-  }
-  const int64_t num_items = item_offset[num_free];
-  static Counter* const candidates_evaluated =
-      MetricsRegistry::Global()->counter("car.candidates_evaluated");
-  candidates_evaluated->Increment(num_items);
-
-  // Blocked kernel: re-encode the selected rows of every free attribute
-  // (and the class) once, then stream the packed columns in the level-1
-  // and level-2 counting passes below. The counts are bit-identical to
-  // the reference row loop; the packed set is scratch for this pass only.
-  const CountKernel kernel = ResolveCountKernel(options.kernel);
-  const bool blocked = kernel != CountKernel::kReference &&
-                       BlockedKernelSupported(schema, free_attrs);
-  const bool simd =
-      blocked && kernel == CountKernel::kSimd && SimdAvailable();
-  if (kernel == CountKernel::kSimd) {
-    MetricsRegistry* const metrics = MetricsRegistry::Global();
-    if (!simd) {
-      metrics->counter("kernel.simd_fallbacks")->Increment();
-    } else {
-      metrics->counter("kernel.simd_selected")->Increment();
-      // Free attributes whose codes pack wider than uint16 run the
-      // scalar blocked loop inside the level-1 pass.
-      int64_t scalar_cols = 0;
-      for (int a : free_attrs) {
-        if (schema.attribute(a).domain() > 65535) ++scalar_cols;
-      }
-      if (scalar_cols > 0) {
-        metrics->counter("kernel.simd_fallbacks")->Increment(scalar_cols);
-      }
-    }
-  }
-  const int64_t block_rows = ResolveBlockRows(options.block_rows);
-  PackedColumnSet packed;
-  if (blocked) packed = PackedColumnSet::Build(dataset, free_attrs, &rows);
-
-  const int64_t num_selected = static_cast<int64_t>(rows.size());
-  const int level1_shards = PlanRowShards(num_selected, options.parallel);
-  std::vector<std::vector<int64_t>> shard_counts(
-      static_cast<size_t>(level1_shards),
-      std::vector<int64_t>(
-          static_cast<size_t>(num_items * num_classes), 0));
-  ParallelForShards(
-      0, num_selected, level1_shards,
-      [&](int shard, int64_t lo, int64_t hi) {
-        int64_t* counts = shard_counts[static_cast<size_t>(shard)].data();
-        if (blocked) {
-          // Row-tiled: per tile, stream every attribute's packed column
-          // against the class column while the tile's rows are still
-          // cache-resident.
-          for (int64_t t0 = lo; t0 < hi; t0 += block_rows) {
-            const int64_t t1 = std::min(hi, t0 + block_rows);
-            for (size_t i = 0; i < num_free; ++i) {
-              CountAttrBlocked(packed.column(static_cast<int>(i)),
-                               packed.class_column(), num_classes, t0, t1,
-                               counts + item_offset[i] * num_classes, simd);
-            }
-          }
-          return;
-        }
-        for (int64_t ri = lo; ri < hi; ++ri) {
-          const int64_t r = rows[static_cast<size_t>(ri)];
-          const ValueCode y = dataset.class_code(r);
-          if (y == kNullCode) continue;
-          for (size_t i = 0; i < num_free; ++i) {
-            const ValueCode v = dataset.code(r, free_attrs[i]);
-            if (v == kNullCode) continue;
-            ++counts[(item_offset[i] + v) * num_classes + y];
-          }
-        }
-      });
-  const std::vector<int64_t>& item_counts = MergeShardCounts(&shard_counts);
-
-  BodyCounts level;
-  for (size_t i = 0; i < num_free; ++i) {
-    const int a = free_attrs[i];
-    for (ValueCode v = 0; v < schema.attribute(a).domain(); ++v) {
-      const int64_t* cell =
-          item_counts.data() + (item_offset[i] + v) * num_classes;
-      int64_t total = 0;
-      for (int y = 0; y < num_classes; ++y) total += cell[y];
-      // Items absent from the data only matter when min_support == 0,
-      // where the complete rule space (zero-count cells included) must be
-      // covered.
-      if (total == 0 && minsup_count > 0) continue;
-      level.try_emplace(std::vector<Item>{MakeItem(a, v)},
-                        std::vector<int64_t>(cell, cell + num_classes));
-    }
+  if (free_attrs.empty()) {
+    RecordMine(result, mine_start_us);
+    return result;
   }
 
-  auto prune_infrequent = [&](BodyCounts* lvl) {
-    if (minsup_count == 0) return;  // everything is frequent at threshold 0
-    for (auto it = lvl->begin(); it != lvl->end();) {
-      const int64_t best =
-          *std::max_element(it->second.begin(), it->second.end());
-      if (best < minsup_count) {
-        it = lvl->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  prune_infrequent(&level);
-  emit_rules(level);
-
-  // --- Levels 2..max_conditions ---
-  const int max_free_conditions =
-      options.max_conditions - static_cast<int>(fixed_sorted.size());
-  for (int k = 2; k <= max_free_conditions; ++k) {
-    // Candidate generation: join bodies sharing the first k-2 items, with
-    // the last items on different attributes; prune by downward closure.
-    std::vector<std::vector<Item>> prev_bodies;
-    prev_bodies.reserve(level.size());
-    for (const auto& [body, _] : level) prev_bodies.push_back(body);
-    std::sort(prev_bodies.begin(), prev_bodies.end());
-
-    std::unordered_set<std::vector<Item>, BodyHash> prev_set(
-        prev_bodies.begin(), prev_bodies.end(), prev_bodies.size(),
-        BodyHash());
-
-    BodyCounts next;
-    for (size_t i = 0; i < prev_bodies.size(); ++i) {
-      for (size_t j = i + 1; j < prev_bodies.size(); ++j) {
-        const auto& a = prev_bodies[i];
-        const auto& b = prev_bodies[j];
-        if (!std::equal(a.begin(), a.end() - 1, b.begin())) break;
-        if (ItemAttr(a.back()) == ItemAttr(b.back())) continue;
-        std::vector<Item> cand = a;
-        cand.push_back(b.back());
-        // Downward closure: all (k-1)-subsets must be frequent.
-        bool ok = true;
-        if (minsup_count > 0) {
-          std::vector<Item> sub(cand.size() - 1);
-          for (size_t drop = 0; drop + 2 < cand.size() && ok; ++drop) {
-            sub.clear();
-            for (size_t m = 0; m < cand.size(); ++m) {
-              if (m != drop) sub.push_back(cand[m]);
-            }
-            ok = prev_set.count(sub) > 0;
-          }
-        }
-        if (ok) {
-          next.try_emplace(
-              std::move(cand),
-              std::vector<int64_t>(static_cast<size_t>(num_classes), 0));
+  // Restricted mining counts only the rows matching every fixed condition.
+  Dataset subset(schema);
+  if (!options.fixed_conditions.empty()) {
+    std::vector<int64_t> rows;
+    for (int64_t r = 0; r < dataset.num_rows(); ++r) {
+      bool match = true;
+      for (const Condition& c : options.fixed_conditions) {
+        if (dataset.code(r, c.attribute) != c.value) {
+          match = false;
+          break;
         }
       }
+      if (match) rows.push_back(r);
     }
-    if (next.empty()) break;
-    candidates_evaluated->Increment(static_cast<int64_t>(next.size()));
-    if (k == 2) {
-      static Counter* const pairs_counted =
-          MetricsRegistry::Global()->counter("car.pairs_counted");
-      pairs_counted->Increment(static_cast<int64_t>(next.size()));
-    }
-
-    // Counting pass. The candidate set is frozen (generation above is
-    // serial and deterministic), so each candidate gets a fixed slot and
-    // rows are sharded into private count buffers exactly like level 1.
-    // Workers only read the shared slot index; merged totals are written
-    // back into the map keyed by body, so the result cannot depend on the
-    // thread count.
-    std::unordered_map<std::vector<Item>, int64_t, BodyHash> cand_slot;
-    cand_slot.reserve(next.size());
-    int64_t num_cands = 0;
-    for (const auto& [body, _] : next) cand_slot.emplace(body, num_cands++);
-
-    if (blocked && k == 2) {
-      // Blocked level-2 pass: candidates grouped by attribute pair; each
-      // group counts its pair densely over the packed columns (or hash-
-      // probes when the pair's dense buffer would be too large) and
-      // writes its candidates' fixed slots. Slots are disjoint across
-      // groups, so groups fan out across the pool without a merge, and
-      // the counts are exact either way — bit-identical to the
-      // combination-enumeration loop below.
-      std::vector<int> attr_to_free(
-          static_cast<size_t>(schema.num_attributes()), -1);
-      for (size_t i = 0; i < num_free; ++i) {
-        attr_to_free[static_cast<size_t>(free_attrs[i])] =
-            static_cast<int>(i);
-      }
-      std::map<std::pair<int, int>, PairGroup> group_of;
-      for (const auto& [body, slot] : cand_slot) {
-        const int ca = attr_to_free[static_cast<size_t>(ItemAttr(body[0]))];
-        const int cb = attr_to_free[static_cast<size_t>(ItemAttr(body[1]))];
-        PairGroup& g = group_of[{ca, cb}];
-        g.col_a = ca;
-        g.col_b = cb;
-        g.cands.push_back({ItemValue(body[0]), ItemValue(body[1]), slot});
-      }
-      std::vector<PairGroup> groups;
-      groups.reserve(group_of.size());
-      for (auto& [_, g] : group_of) groups.push_back(std::move(g));
-
-      std::vector<int64_t> merged(
-          static_cast<size_t>(num_cands * num_classes), 0);
-      const int group_shards = EffectiveThreads(options.parallel);
-      ParallelForShards(
-          0, static_cast<int64_t>(groups.size()), group_shards,
-          [&](int shard, int64_t lo, int64_t hi) {
-            (void)shard;
-            std::vector<int64_t> dense_scratch;
-            for (int64_t g = lo; g < hi; ++g) {
-              CountPairGroup(groups[static_cast<size_t>(g)], packed,
-                             num_classes, block_rows, simd, &dense_scratch,
-                             merged.data());
-            }
-          });
-      for (auto& [body, counts] : next) {
-        const int64_t* cell =
-            merged.data() + cand_slot.at(body) * num_classes;
-        counts.assign(cell, cell + num_classes);
-      }
-      prune_infrequent(&next);
-      emit_rules(next);
-      level = std::move(next);
-      continue;
-    }
-
-    const int levelk_shards = PlanRowShards(num_selected, options.parallel);
-    std::vector<std::vector<int64_t>> cand_counts(
-        static_cast<size_t>(levelk_shards),
-        std::vector<int64_t>(
-            static_cast<size_t>(num_cands * num_classes), 0));
-    ParallelForShards(
-        0, num_selected, levelk_shards,
-        [&](int shard, int64_t lo, int64_t hi) {
-          int64_t* counts = cand_counts[static_cast<size_t>(shard)].data();
-          std::vector<Item> row_items;
-          std::vector<Item> probe(static_cast<size_t>(k));
-          std::vector<size_t> idx(static_cast<size_t>(k));
-          for (int64_t ri = lo; ri < hi; ++ri) {
-            const int64_t r = rows[static_cast<size_t>(ri)];
-            const ValueCode y = dataset.class_code(r);
-            if (y == kNullCode) continue;
-            row_items.clear();
-            for (int a : free_attrs) {
-              const ValueCode v = dataset.code(r, a);
-              if (v == kNullCode) continue;
-              row_items.push_back(MakeItem(a, v));
-            }
-            const size_t m = row_items.size();
-            if (m < static_cast<size_t>(k)) continue;
-            // Enumerate k-combinations of the row's items (row_items is
-            // sorted because free_attrs is ascending and items pack attr
-            // high).
-            for (size_t t = 0; t < static_cast<size_t>(k); ++t) idx[t] = t;
-            for (;;) {
-              for (size_t t = 0; t < static_cast<size_t>(k); ++t) {
-                probe[t] = row_items[idx[t]];
-              }
-              auto it = cand_slot.find(probe);
-              if (it != cand_slot.end()) {
-                ++counts[it->second * num_classes + y];
-              }
-              // Advance combination.
-              int t = k - 1;
-              while (t >= 0 &&
-                     idx[static_cast<size_t>(t)] ==
-                         m - static_cast<size_t>(k - t)) {
-                --t;
-              }
-              if (t < 0) break;
-              ++idx[static_cast<size_t>(t)];
-              for (size_t u = static_cast<size_t>(t) + 1;
-                   u < static_cast<size_t>(k); ++u) {
-                idx[u] = idx[u - 1] + 1;
-              }
-            }
-          }
-        });
-    const std::vector<int64_t>& merged = MergeShardCounts(&cand_counts);
-    for (auto& [body, counts] : next) {
-      const int64_t* cell =
-          merged.data() + cand_slot.at(body) * num_classes;
-      counts.assign(cell, cell + num_classes);
-    }
-
-    prune_infrequent(&next);
-    emit_rules(next);
-    level = std::move(next);
+    subset = dataset.TakeRows(rows);
   }
+  const Dataset& data =
+      options.fixed_conditions.empty() ? dataset : subset;
 
-  static Histogram* const latency =
-      MetricsRegistry::Global()->histogram("query.mine_us");
-  latency->Record(MonotonicMicros() - mine_start_us);
+  CubeStoreOptions cube_options;
+  cube_options.attributes = free_attrs;
+  cube_options.build_pair_cubes = free_levels >= 2;
+  cube_options.max_memory_bytes = kMaxMiningCubeBytes;
+  cube_options.parallel = options.parallel;
+  cube_options.kernel = options.kernel;
+  cube_options.block_rows = options.block_rows;
+  OPMAP_ASSIGN_OR_RETURN(CubeStore store,
+                         CubeBuilder::FromDataset(data, cube_options));
+
+  std::vector<ClassRule>& rules = result.mutable_rules();
+  std::vector<Body> frequent_pairs;
+  OPMAP_RETURN_NOT_OK(WalkCubes(store, std::min(free_levels, 2), spec, &rules,
+                                free_levels > 2 ? &frequent_pairs : nullptr));
+  if (free_levels > 2) {
+    ScanLongerRules(data, free_attrs, std::move(frequent_pairs),
+                    free_levels, spec, options.parallel, &rules);
+  }
+  RecordMine(result, mine_start_us);
+  return result;
+}
+
+Result<RuleSet> RulesFromCubes(const CubeStore& store,
+                               const CarMinerOptions& options) {
+  OPMAP_TRACE_SPAN("car.mine");
+  const int64_t mine_start_us = MonotonicMicros();
+  OPMAP_RETURN_NOT_OK(ValidateThresholds(options));
+  if (!options.fixed_conditions.empty()) {
+    return Status::InvalidArgument(
+        "rule cubes hold no restricted rules; mine the dataset for fixed "
+        "conditions");
+  }
+  if (options.max_conditions > 2) {
+    return Status::InvalidArgument(
+        "max_conditions=" + std::to_string(options.max_conditions) +
+        " exceeds the 2 conditions rule cubes hold; mine the dataset for "
+        "longer rules");
+  }
+  if (options.max_conditions == 2 && !store.has_pair_cubes()) {
+    return Status::InvalidArgument(
+        "2-condition rules need pair cubes, and this store has none");
+  }
+  const EmitSpec spec = MakeEmitSpec(options, store.num_records(),
+                                     store.schema().num_classes());
+  RuleSet result(store.num_records());
+  OPMAP_RETURN_NOT_OK(WalkCubes(store, options.max_conditions, spec,
+                                &result.mutable_rules(), nullptr));
+  RecordMine(result, mine_start_us);
   return result;
 }
 

@@ -14,11 +14,6 @@ namespace {
 
 constexpr int64_t kMaxBlockRows = 1 << 20;
 
-// Rows per sub-tile of the standalone SIMD attr/pair paths: small enough
-// that the int32 scratch lives on the stack and in L1, and within the
-// bit-sliced counter's byte-accumulator bound.
-constexpr int64_t kSimdSubTile = internal::kSimdCountSmallMaxRows;
-
 // Count arrays up to this many cells get private per-stream accumulators
 // in HistogramIdx (below); larger arrays share the output buffer, where
 // same-cell collisions are rare anyway.
@@ -68,27 +63,6 @@ void HistogramIdx(const int32_t* idx, int64_t cnt, int64_t* counts,
 
 // Width-dispatch wrappers over the vector kernel table. Callers must
 // have checked SimdColumnEligible (width <= 2) first.
-void SimdWiden(const internal::SimdKernels& sk, const PackedColumn& col,
-               int64_t offset, int64_t len, int32_t* out) {
-  if (col.width() == 1) {
-    sk.widen_u8(col.u8() + offset, col.sentinel(), len, out);
-  } else {
-    sk.widen_u16(col.u16() + offset, col.sentinel(), len, out);
-  }
-}
-
-void SimdFuse(const internal::SimdKernels& sk, const PackedColumn& col,
-              int64_t offset, const int32_t* base, int32_t mult, int64_t len,
-              int32_t* fused) {
-  if (col.width() == 1) {
-    sk.fuse_u8(col.u8() + offset, col.sentinel(), base, mult, len, fused,
-               nullptr);
-  } else {
-    sk.fuse_u16(col.u16() + offset, col.sentinel(), base, mult, len, fused,
-                nullptr);
-  }
-}
-
 int64_t SimdFuseStore(const internal::SimdKernels& sk, const PackedColumn& col,
                       int64_t offset, const int32_t* base, int32_t mult,
                       int64_t len, int32_t* fused, int32_t* idx) {
@@ -127,17 +101,11 @@ int WidthFor(int domain) {
 }
 
 template <typename T>
-void PackInto(const ValueCode* src, const int64_t* rows, int64_t n,
-              uint32_t sentinel, uint8_t* dst_bytes) {
+void PackInto(const ValueCode* src, int64_t n, uint32_t sentinel,
+              uint8_t* dst_bytes) {
   T* dst = reinterpret_cast<T*>(dst_bytes);
-  if (rows == nullptr) {
-    for (int64_t r = 0; r < n; ++r) {
-      dst[r] = static_cast<T>(PackCode(src[r], sentinel));
-    }
-  } else {
-    for (int64_t r = 0; r < n; ++r) {
-      dst[r] = static_cast<T>(PackCode(src[rows[r]], sentinel));
-    }
+  for (int64_t r = 0; r < n; ++r) {
+    dst[r] = static_cast<T>(PackCode(src[r], sentinel));
   }
 }
 
@@ -290,12 +258,6 @@ int64_t ResolveBlockRows(int64_t requested) {
 }
 
 PackedColumn PackedColumn::Pack(const ValueCode* src, int64_t n, int domain) {
-  return PackGather(src, nullptr, n, domain);
-}
-
-PackedColumn PackedColumn::PackGather(const ValueCode* src,
-                                      const int64_t* rows, int64_t n,
-                                      int domain) {
   PackedColumn col;
   col.num_rows_ = n;
   col.width_ = WidthFor(domain);
@@ -303,13 +265,13 @@ PackedColumn PackedColumn::PackGather(const ValueCode* src,
   col.bytes_.resize(static_cast<size_t>(n) * static_cast<size_t>(col.width_));
   switch (col.width_) {
     case 1:
-      PackInto<uint8_t>(src, rows, n, col.sentinel_, col.bytes_.data());
+      PackInto<uint8_t>(src, n, col.sentinel_, col.bytes_.data());
       break;
     case 2:
-      PackInto<uint16_t>(src, rows, n, col.sentinel_, col.bytes_.data());
+      PackInto<uint16_t>(src, n, col.sentinel_, col.bytes_.data());
       break;
     default:
-      PackInto<uint32_t>(src, rows, n, col.sentinel_, col.bytes_.data());
+      PackInto<uint32_t>(src, n, col.sentinel_, col.bytes_.data());
       break;
   }
   return col;
@@ -327,23 +289,20 @@ uint32_t PackedColumn::Get(int64_t r) const {
 }
 
 PackedColumnSet PackedColumnSet::Build(const Dataset& dataset,
-                                       const std::vector<int>& attrs,
-                                       const std::vector<int64_t>* rows) {
+                                       const std::vector<int>& attrs) {
   PackedColumnSet set;
-  const int64_t n =
-      rows != nullptr ? static_cast<int64_t>(rows->size()) : dataset.num_rows();
-  const int64_t* row_data = rows != nullptr ? rows->data() : nullptr;
+  const int64_t n = dataset.num_rows();
   set.num_rows_ = n;
   set.columns_.reserve(attrs.size());
   for (int a : attrs) {
-    set.columns_.push_back(PackedColumn::PackGather(
-        dataset.categorical_column(a).data(), row_data, n,
-        dataset.schema().attribute(a).domain()));
+    set.columns_.push_back(
+        PackedColumn::Pack(dataset.categorical_column(a).data(), n,
+                           dataset.schema().attribute(a).domain()));
   }
   const int cls = dataset.schema().class_index();
-  set.class_column_ = PackedColumn::PackGather(
-      dataset.categorical_column(cls).data(), row_data, n,
-      dataset.schema().num_classes());
+  set.class_column_ =
+      PackedColumn::Pack(dataset.categorical_column(cls).data(), n,
+                         dataset.schema().num_classes());
   return set;
 }
 
@@ -441,98 +400,6 @@ void CountRangeBlocked(const BlockedCountArgs& args, int64_t row_begin,
       }
     }
   }
-}
-
-void CountAttrBlocked(const PackedColumn& col, const PackedColumn& cls,
-                      int num_classes, int64_t row_begin, int64_t row_end,
-                      int64_t* counts, bool use_simd) {
-  const int64_t nc = num_classes;
-  const internal::SimdKernels* sk =
-      use_simd ? internal::GetSimdKernels() : nullptr;
-  if (sk != nullptr && SimdColumnEligible(col) && SimdColumnEligible(cls) &&
-      (static_cast<int64_t>(col.sentinel()) + 1) * nc <=
-          std::numeric_limits<int32_t>::max()) {
-    const int64_t domain = col.sentinel();
-    const int64_t cells = domain * nc;
-    if (col.width() == 1 && cls.width() == 1 && domain <= 16 && cells <= 32) {
-      // Bit-sliced byte counting: tiny domains collapse to one fused
-      // byte per row and per-cell vector popcounts.
-      for (int64_t t0 = row_begin; t0 < row_end; t0 += kSimdSubTile) {
-        const int64_t len = std::min(kSimdSubTile, row_end - t0);
-        sk->count_small_u8(col.u8() + t0, col.sentinel(), cls.u8() + t0,
-                           cls.sentinel(), static_cast<int32_t>(nc),
-                           static_cast<int32_t>(cells), len, counts);
-      }
-      return;
-    }
-    // General path: widen the class sub-tile, fuse-compact the column
-    // against it, histogram the dense index stream.
-    int32_t ybuf[kSimdSubTile];
-    int32_t idx[kSimdSubTile + internal::kSimdIdxSlack];
-    for (int64_t t0 = row_begin; t0 < row_end; t0 += kSimdSubTile) {
-      const int64_t len = std::min(kSimdSubTile, row_end - t0);
-      SimdWiden(*sk, cls, t0, len, ybuf);
-      const int64_t cnt = SimdFuseCompact(*sk, col, t0, ybuf,
-                                          static_cast<int32_t>(nc), len, idx);
-      HistogramIdx(idx, cnt, counts, cells);
-    }
-    return;
-  }
-  WithTyped(col, row_begin, [&](auto* v, auto v_sentinel) {
-    WithTyped(cls, row_begin, [&](auto* y, auto y_sentinel) {
-      const int64_t len = row_end - row_begin;
-      for (int64_t k = 0; k < len; ++k) {
-        if (v[k] == v_sentinel || y[k] == y_sentinel) continue;
-        ++counts[static_cast<int64_t>(v[k]) * nc + y[k]];
-      }
-    });
-  });
-}
-
-void CountPairBlocked(const PackedColumn& a, const PackedColumn& b,
-                      const PackedColumn& cls, int num_classes,
-                      int64_t row_begin, int64_t row_end, int64_t* counts,
-                      bool use_simd) {
-  const int64_t nc = num_classes;
-  const int64_t domain_b = b.sentinel();
-  const internal::SimdKernels* sk =
-      use_simd ? internal::GetSimdKernels() : nullptr;
-  const int64_t stride = domain_b * nc;
-  if (sk != nullptr && SimdColumnEligible(a) && SimdColumnEligible(b) &&
-      SimdColumnEligible(cls) &&
-      (domain_b + 1) * nc <= std::numeric_limits<int32_t>::max() &&
-      SimdPairEligible(a.sentinel(), stride)) {
-    // Two-stage fusion: tmp = vb * nc + y, then idx = va * stride + tmp
-    // == (va * domain_b + vb) * nc + y — the exact scalar cell.
-    int32_t ybuf[kSimdSubTile];
-    int32_t tmp[kSimdSubTile];
-    int32_t idx[kSimdSubTile + internal::kSimdIdxSlack];
-    const int64_t cells = static_cast<int64_t>(a.sentinel()) * stride;
-    for (int64_t t0 = row_begin; t0 < row_end; t0 += kSimdSubTile) {
-      const int64_t len = std::min(kSimdSubTile, row_end - t0);
-      SimdWiden(*sk, cls, t0, len, ybuf);
-      SimdFuse(*sk, b, t0, ybuf, static_cast<int32_t>(nc), len, tmp);
-      const int64_t cnt = SimdFuseCompact(
-          *sk, a, t0, tmp, static_cast<int32_t>(stride), len, idx);
-      HistogramIdx(idx, cnt, counts, cells);
-    }
-    return;
-  }
-  WithTyped(a, row_begin, [&](auto* va, auto a_sentinel) {
-    WithTyped(b, row_begin, [&](auto* vb, auto b_sentinel) {
-      WithTyped(cls, row_begin, [&](auto* y, auto y_sentinel) {
-        const int64_t len = row_end - row_begin;
-        for (int64_t k = 0; k < len; ++k) {
-          if (va[k] == a_sentinel || vb[k] == b_sentinel ||
-              y[k] == y_sentinel) {
-            continue;
-          }
-          ++counts[(static_cast<int64_t>(va[k]) * domain_b + vb[k]) * nc +
-                   y[k]];
-        }
-      });
-    });
-  });
 }
 
 }  // namespace opmap

@@ -10,11 +10,11 @@
 
 namespace opmap {
 
-/// Which counting kernel the bulk paths (CubeBuilder::AddDataset, the CAR
-/// miner's level-1/2 passes) run. All kernels produce bit-identical
-/// counts for every input and thread count; the choice is purely a
-/// performance knob, and the reference kernel is retained so tests can
-/// pin the faster tiers against the seed implementation.
+/// Which counting kernel CubeBuilder::AddDataset runs (the CAR miner
+/// reaches it through the cubes it builds). All kernels produce
+/// bit-identical counts for every input and thread count; the choice is
+/// purely a performance knob, and the reference kernel is retained so
+/// tests can pin the faster tiers against the seed implementation.
 enum class CountKernel {
   /// Cache-blocked kernel over packed value codes: rows are processed in
   /// tiles, and inside a tile each attribute pair streams exactly two
@@ -70,16 +70,11 @@ int64_t ResolveBlockRows(int64_t requested);
 /// signed null check and the working set shrinks up to 4x.
 class PackedColumn {
  public:
-  /// An empty column (no rows); real columns come from Pack/PackGather.
+  /// An empty column (no rows); real columns come from Pack.
   PackedColumn() = default;
 
   /// Packs `src[0..n)` (codes in [0, domain) or kNullCode).
   static PackedColumn Pack(const ValueCode* src, int64_t n, int domain);
-
-  /// Packs `src[rows[0]], ..., src[rows[n-1])` — the gather form used by
-  /// restricted mining, where only a row subset is scanned.
-  static PackedColumn PackGather(const ValueCode* src, const int64_t* rows,
-                                 int64_t n, int domain);
 
   int64_t num_rows() const { return num_rows_; }
   int width() const { return width_; }          ///< bytes per code: 1, 2, 4
@@ -109,19 +104,17 @@ class PackedColumn {
 };
 
 /// The packed re-encoding of a set of categorical columns plus the class
-/// column, built once per AddDataset / mining pass and then streamed by
-/// every tile of the blocked kernels.
+/// column, built once per AddDataset pass and then streamed by every tile
+/// of the blocked kernels.
 class PackedColumnSet {
  public:
   /// An empty set (no columns); real sets come from Build.
   PackedColumnSet() = default;
 
   /// Packs `attrs` (schema indices of categorical attributes) and the
-  /// class column of `dataset`. With `rows` non-null, only that row
-  /// subset is packed, in order (restricted mining); otherwise all rows.
+  /// class column of every row of `dataset`.
   static PackedColumnSet Build(const Dataset& dataset,
-                               const std::vector<int>& attrs,
-                               const std::vector<int64_t>* rows = nullptr);
+                               const std::vector<int>& attrs);
 
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int64_t num_rows() const { return num_rows_; }
@@ -193,28 +186,6 @@ bool SimdColumnEligible(const PackedColumn& col);
 /// `(domain_i + 1) * stride_j` intermediate must fit (the scalar pair
 /// loop widens to int64 and has no such limit).
 bool SimdPairEligible(int64_t domain_i, int64_t stride_j);
-
-/// Counts one packed column against the class column over rows
-/// [row_begin, row_end): counts[v * num_classes + y] += 1 for every row
-/// where neither code is the null sentinel. The CAR miner's level-1 pass.
-/// With `use_simd`, eligible columns run the vector tier (bit-sliced byte
-/// counting when domain * num_classes <= 32 and both columns are uint8,
-/// fuse-compact-histogram otherwise); results are bit-identical.
-void CountAttrBlocked(const PackedColumn& col, const PackedColumn& cls,
-                      int num_classes, int64_t row_begin, int64_t row_end,
-                      int64_t* counts, bool use_simd = false);
-
-/// Dense (value_a, value_b, class) counting of one attribute pair over
-/// rows [row_begin, row_end): counts[(va * domain_b + vb) * num_classes
-/// + y] += 1 for every row where no code is null. `counts` must hold
-/// domain_a x domain_b x num_classes zero-initialized cells. The CAR
-/// miner's level-2 pass reads candidate cells out of this buffer. With
-/// `use_simd`, eligible pairs run the vector tier; results are
-/// bit-identical.
-void CountPairBlocked(const PackedColumn& a, const PackedColumn& b,
-                      const PackedColumn& cls, int num_classes,
-                      int64_t row_begin, int64_t row_end, int64_t* counts,
-                      bool use_simd = false);
 
 }  // namespace opmap
 

@@ -36,7 +36,7 @@ namespace {
 
 #if defined(OPMAP_SIMD_X86) || defined(OPMAP_SIMD_NEON)
 
-enum class FuseMode { kFusedOnly, kFusedAndIdx, kIdxOnly };
+enum class FuseMode { kFusedAndIdx, kIdxOnly };
 
 // Scalar tail shared by both tiers. Index math runs in uint32 so even a
 // sentinel lane cannot trip signed overflow (eligibility checks in
@@ -53,9 +53,7 @@ inline int64_t FuseScalarTail(const T* col, uint32_t sentinel,
     const int32_t f = static_cast<int32_t>(
         v * static_cast<uint32_t>(mult) + static_cast<uint32_t>(b));
     if constexpr (M != FuseMode::kIdxOnly) fused[k] = ok ? f : -1;
-    if constexpr (M != FuseMode::kFusedOnly) {
-      if (ok) idx[cnt++] = f;
-    }
+    if (ok) idx[cnt++] = f;
   }
   return cnt;
 }
@@ -99,23 +97,6 @@ __attribute__((target("avx2"))) inline __m256i LoadWiden8(const T* p) {
   }
 }
 
-template <typename T>
-__attribute__((target("avx2"))) void WidenAvx2(const T* col, uint32_t sentinel,
-                                               int64_t len, int32_t* out) {
-  const __m256i vsent = _mm256_set1_epi32(static_cast<int32_t>(sentinel));
-  const __m256i vneg1 = _mm256_set1_epi32(-1);
-  int64_t k = 0;
-  for (; k + 8 <= len; k += 8) {
-    const __m256i v = LoadWiden8(col + k);
-    const __m256i is_null = _mm256_cmpeq_epi32(v, vsent);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
-                        _mm256_blendv_epi8(v, vneg1, is_null));
-  }
-  for (; k < len; ++k) {
-    out[k] = col[k] == sentinel ? -1 : static_cast<int32_t>(col[k]);
-  }
-}
-
 template <typename T, FuseMode M>
 __attribute__((target("avx2"))) int64_t FuseAvx2(const T* col,
                                                  uint32_t sentinel,
@@ -141,94 +122,23 @@ __attribute__((target("avx2"))) int64_t FuseAvx2(const T* col,
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(fused + k),
                           _mm256_blendv_epi8(vneg1, f, valid));
     }
-    if constexpr (M != FuseMode::kFusedOnly) {
-      const unsigned mask = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(valid)));
-      const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kCompress8.perm[mask]));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + cnt),
-                          _mm256_permutevar8x32_epi32(f, perm));
-      cnt += __builtin_popcount(mask);
-    }
+    const unsigned mask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(valid)));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kCompress8.perm[mask]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + cnt),
+                        _mm256_permutevar8x32_epi32(f, perm));
+    cnt += __builtin_popcount(mask);
   }
   return FuseScalarTail<T, M>(col, sentinel, base, mult, k, len, fused, idx,
                               cnt);
 }
 
-__attribute__((target("avx2"))) void CountSmallAvx2(
-    const uint8_t* a, uint32_t sent_a, const uint8_t* b, uint32_t sent_b,
-    int32_t nc, int32_t cells, int64_t len, int64_t* counts) {
-  // Pass 1: materialize the fused byte per row — a*nc + b for valid rows,
-  // 0xFF otherwise (cells <= 32, so 0xFF cannot collide with a real
-  // cell). The 16-bit blend happens before the pack, so a sentinel
-  // product that exceeds 255 never reaches the saturating narrow.
-  alignas(32) uint8_t fb[kSimdCountSmallMaxRows];
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i vsa = _mm256_set1_epi16(static_cast<short>(sent_a));
-  const __m256i vsb = _mm256_set1_epi16(static_cast<short>(sent_b));
-  const __m256i vnc = _mm256_set1_epi16(static_cast<short>(nc));
-  const __m256i vff = _mm256_set1_epi16(0xFF);
-  int64_t k = 0;
-  for (; k + 32 <= len; k += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + k));
-    const __m256i alo = _mm256_unpacklo_epi8(va, zero);
-    const __m256i ahi = _mm256_unpackhi_epi8(va, zero);
-    const __m256i blo = _mm256_unpacklo_epi8(vb, zero);
-    const __m256i bhi = _mm256_unpackhi_epi8(vb, zero);
-    __m256i flo = _mm256_add_epi16(_mm256_mullo_epi16(alo, vnc), blo);
-    __m256i fhi = _mm256_add_epi16(_mm256_mullo_epi16(ahi, vnc), bhi);
-    const __m256i badlo = _mm256_or_si256(_mm256_cmpeq_epi16(alo, vsa),
-                                          _mm256_cmpeq_epi16(blo, vsb));
-    const __m256i badhi = _mm256_or_si256(_mm256_cmpeq_epi16(ahi, vsa),
-                                          _mm256_cmpeq_epi16(bhi, vsb));
-    flo = _mm256_blendv_epi8(flo, vff, badlo);
-    fhi = _mm256_blendv_epi8(fhi, vff, badhi);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(fb + k),
-                       _mm256_packus_epi16(flo, fhi));
-  }
-  for (; k < len; ++k) {
-    const uint32_t av = a[k];
-    const uint32_t bv = b[k];
-    fb[k] = (av == sent_a || bv == sent_b)
-                ? 0xFF
-                : static_cast<uint8_t>(av * static_cast<uint32_t>(nc) + bv);
-  }
-  // Pass 2: one byte-accumulator sweep per cell over the L1-resident fb
-  // buffer. len <= 2048 keeps every lane <= 64 hits, far from the 255
-  // byte ceiling, so no mid-sweep flush is needed.
-  const int64_t len32 = len & ~int64_t{31};
-  for (int32_t c = 0; c < cells; ++c) {
-    const __m256i vc = _mm256_set1_epi8(static_cast<char>(c));
-    __m256i acc = _mm256_setzero_si256();
-    for (int64_t blk = 0; blk < len32; blk += 32) {
-      const __m256i fv =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(fb + blk));
-      acc = _mm256_sub_epi8(acc, _mm256_cmpeq_epi8(fv, vc));
-    }
-    const __m256i sad = _mm256_sad_epu8(acc, zero);
-    int64_t total = _mm256_extract_epi64(sad, 0) +
-                    _mm256_extract_epi64(sad, 1) +
-                    _mm256_extract_epi64(sad, 2) + _mm256_extract_epi64(sad, 3);
-    for (int64_t t = len32; t < len; ++t) {
-      total += fb[t] == static_cast<uint8_t>(c);
-    }
-    counts[c] += total;
-  }
-}
-
 constexpr SimdKernels kAvx2Kernels = {
-    &WidenAvx2<uint8_t>,
-    &WidenAvx2<uint16_t>,
-    &FuseAvx2<uint8_t, FuseMode::kFusedOnly>,
-    &FuseAvx2<uint16_t, FuseMode::kFusedOnly>,
     &FuseAvx2<uint8_t, FuseMode::kFusedAndIdx>,
     &FuseAvx2<uint16_t, FuseMode::kFusedAndIdx>,
     &FuseAvx2<uint8_t, FuseMode::kIdxOnly>,
     &FuseAvx2<uint16_t, FuseMode::kIdxOnly>,
-    &CountSmallAvx2,
 };
 
 #endif  // OPMAP_SIMD_X86
@@ -279,21 +189,6 @@ inline int32x4_t LoadWiden4(const T* p) {
   }
 }
 
-template <typename T>
-void WidenNeon(const T* col, uint32_t sentinel, int64_t len, int32_t* out) {
-  const int32x4_t vsent = vdupq_n_s32(static_cast<int32_t>(sentinel));
-  const int32x4_t vneg1 = vdupq_n_s32(-1);
-  int64_t k = 0;
-  for (; k + 4 <= len; k += 4) {
-    const int32x4_t v = LoadWiden4(col + k);
-    const uint32x4_t is_null = vceqq_s32(v, vsent);
-    vst1q_s32(out + k, vbslq_s32(is_null, vneg1, v));
-  }
-  for (; k < len; ++k) {
-    out[k] = col[k] == sentinel ? -1 : static_cast<int32_t>(col[k]);
-  }
-}
-
 template <typename T, FuseMode M>
 int64_t FuseNeon(const T* col, uint32_t sentinel, const int32_t* base,
                  int32_t mult, int64_t len, int32_t* fused, int32_t* idx) {
@@ -314,77 +209,21 @@ int64_t FuseNeon(const T* col, uint32_t sentinel, const int32_t* base,
     if constexpr (M != FuseMode::kIdxOnly) {
       vst1q_s32(fused + k, vbslq_s32(valid, f, vneg1));
     }
-    if constexpr (M != FuseMode::kFusedOnly) {
-      const uint32_t mask = vaddvq_u32(vandq_u32(valid, lane_bits));
-      const uint8x16_t perm = vld1q_u8(kCompress4.perm[mask]);
-      const uint8x16_t packed = vqtbl1q_u8(vreinterpretq_u8_s32(f), perm);
-      vst1q_s32(idx + cnt, vreinterpretq_s32_u8(packed));
-      cnt += __builtin_popcount(mask);
-    }
+    const uint32_t mask = vaddvq_u32(vandq_u32(valid, lane_bits));
+    const uint8x16_t perm = vld1q_u8(kCompress4.perm[mask]);
+    const uint8x16_t packed = vqtbl1q_u8(vreinterpretq_u8_s32(f), perm);
+    vst1q_s32(idx + cnt, vreinterpretq_s32_u8(packed));
+    cnt += __builtin_popcount(mask);
   }
   return FuseScalarTail<T, M>(col, sentinel, base, mult, k, len, fused, idx,
                               cnt);
 }
 
-void CountSmallNeon(const uint8_t* a, uint32_t sent_a, const uint8_t* b,
-                    uint32_t sent_b, int32_t nc, int32_t cells, int64_t len,
-                    int64_t* counts) {
-  alignas(16) uint8_t fb[kSimdCountSmallMaxRows];
-  const uint16x8_t vsa = vdupq_n_u16(static_cast<uint16_t>(sent_a));
-  const uint16x8_t vsb = vdupq_n_u16(static_cast<uint16_t>(sent_b));
-  const uint16x8_t vff = vdupq_n_u16(0xFF);
-  int64_t k = 0;
-  for (; k + 16 <= len; k += 16) {
-    const uint8x16_t va = vld1q_u8(a + k);
-    const uint8x16_t vb = vld1q_u8(b + k);
-    const uint16x8_t alo = vmovl_u8(vget_low_u8(va));
-    const uint16x8_t ahi = vmovl_u8(vget_high_u8(va));
-    const uint16x8_t blo = vmovl_u8(vget_low_u8(vb));
-    const uint16x8_t bhi = vmovl_u8(vget_high_u8(vb));
-    uint16x8_t flo = vmlaq_n_u16(blo, alo, static_cast<uint16_t>(nc));
-    uint16x8_t fhi = vmlaq_n_u16(bhi, ahi, static_cast<uint16_t>(nc));
-    const uint16x8_t badlo =
-        vorrq_u16(vceqq_u16(alo, vsa), vceqq_u16(blo, vsb));
-    const uint16x8_t badhi =
-        vorrq_u16(vceqq_u16(ahi, vsa), vceqq_u16(bhi, vsb));
-    flo = vbslq_u16(badlo, vff, flo);
-    fhi = vbslq_u16(badhi, vff, fhi);
-    vst1q_u8(fb + k, vcombine_u8(vqmovn_u16(flo), vqmovn_u16(fhi)));
-  }
-  for (; k < len; ++k) {
-    const uint32_t av = a[k];
-    const uint32_t bv = b[k];
-    fb[k] = (av == sent_a || bv == sent_b)
-                ? 0xFF
-                : static_cast<uint8_t>(av * static_cast<uint32_t>(nc) + bv);
-  }
-  // len <= 2048 keeps every byte lane <= 128 hits — under the 255
-  // ceiling, no mid-sweep flush.
-  const int64_t len16 = len & ~int64_t{15};
-  for (int32_t c = 0; c < cells; ++c) {
-    const uint8x16_t vc = vdupq_n_u8(static_cast<uint8_t>(c));
-    uint8x16_t acc = vdupq_n_u8(0);
-    for (int64_t blk = 0; blk < len16; blk += 16) {
-      acc = vsubq_u8(acc, vceqq_u8(vld1q_u8(fb + blk), vc));
-    }
-    int64_t total = vaddlvq_u8(acc);
-    for (int64_t t = len16; t < len; ++t) {
-      total += fb[t] == static_cast<uint8_t>(c);
-    }
-    counts[c] += total;
-  }
-}
-
 constexpr SimdKernels kNeonKernels = {
-    &WidenNeon<uint8_t>,
-    &WidenNeon<uint16_t>,
-    &FuseNeon<uint8_t, FuseMode::kFusedOnly>,
-    &FuseNeon<uint16_t, FuseMode::kFusedOnly>,
     &FuseNeon<uint8_t, FuseMode::kFusedAndIdx>,
     &FuseNeon<uint16_t, FuseMode::kFusedAndIdx>,
     &FuseNeon<uint8_t, FuseMode::kIdxOnly>,
     &FuseNeon<uint16_t, FuseMode::kIdxOnly>,
-    &CountSmallNeon,
 };
 
 #endif  // OPMAP_SIMD_NEON

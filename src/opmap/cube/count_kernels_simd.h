@@ -12,12 +12,6 @@ namespace internal {
 /// final store can spill up to one vector minus one lane of garbage.
 inline constexpr int64_t kSimdIdxSlack = 8;
 
-/// Row cap per count_small_u8 call: the bit-sliced counter accumulates
-/// hits in unsigned bytes (one lane holds at most rows / lane-width
-/// hits), so 2048 rows keeps every lane <= 128 on both AVX2 (32-byte
-/// vectors) and NEON (16-byte vectors), well under the 255 ceiling.
-inline constexpr int64_t kSimdCountSmallMaxRows = 2048;
-
 /// The per-tile vector primitives behind CountKernel::kSimd. The shared
 /// contract of the fuse family:
 ///
@@ -43,32 +37,15 @@ struct SimdKernels {
                                 const int32_t* base, int32_t mult, int64_t len,
                                 int32_t* fused, int32_t* idx);
 
-  /// col -> int32, -1 for sentinel. Vector widening of the class column.
-  void (*widen_u8)(const uint8_t* col, uint32_t sentinel, int64_t len,
-                   int32_t* out);
-  void (*widen_u16)(const uint16_t* col, uint32_t sentinel, int64_t len,
-                    int32_t* out);
-
-  /// Writes `fused` only; `idx` is ignored (pass nullptr). Returns 0.
-  FuseFnU8 fuse_u8;
-  FuseFnU16 fuse_u16;
   /// Writes `fused` and `idx`; returns the idx count. The cube builder's
   /// attribute pass: the 2-D cube histogram input and the pair-pass base
   /// in one sweep.
   FuseFnU8 fuse_store_u8;
   FuseFnU16 fuse_store_u16;
   /// Writes `idx` only; `fused` is ignored (pass nullptr). Returns the
-  /// idx count. Pair passes and the miner's general level-1 path.
+  /// idx count. The cube builder's pair passes.
   FuseFnU8 fuse_compact_u8;
   FuseFnU16 fuse_compact_u16;
-
-  /// Bit-sliced byte counting for tiny domains: counts[a*nc + b] += 1
-  /// for every row where a[k] != sent_a and b[k] != sent_b. Requires
-  /// cells = domain_a * nc <= 32 (so the fused byte and the 0xFF invalid
-  /// marker cannot collide) and len <= kSimdCountSmallMaxRows.
-  void (*count_small_u8)(const uint8_t* a, uint32_t sent_a, const uint8_t* b,
-                         uint32_t sent_b, int32_t nc, int32_t cells,
-                         int64_t len, int64_t* counts);
 };
 
 /// The vector kernel table for the running CPU, or nullptr when this

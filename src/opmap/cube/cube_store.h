@@ -110,6 +110,9 @@ class CubeStore {
   /// pair cubes must have been built.
   Result<const RuleCube*> PairCube(int a, int b) const;
 
+  /// True when the 3-D (attribute, attribute, class) cubes were built.
+  bool has_pair_cubes() const { return has_pair_cubes_; }
+
   /// Overall class distribution (counts per class code).
   const std::vector<int64_t>& class_counts() const { return class_counts_; }
 

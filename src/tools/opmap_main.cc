@@ -12,13 +12,14 @@
 //                   --class=LABEL
 //   opmap pairs     --cubes=data.opmc --attribute=NAME --class=LABEL
 //   opmap gi        --cubes=data.opmc [--top=N]
-//   opmap mine      --data=data.opmd [--min-support=F] [--min-confidence=F]
-//                   [--max-conditions=N] [--top=N]
+//   opmap mine      --data=data.opmd | --cubes=data.opmc [--min-support=F]
+//                   [--min-confidence=F] [--max-conditions=N] [--top=N]
 //
 // `generate` writes synthetic call logs (the library's workload); real
 // data enters via csv2data. Cube generation is the offline step; every
-// other command is interactive and reads only the cube file (`mine` reads
-// the dataset directly for rule sets the cubes don't materialize).
+// other command is interactive and reads only the cube file (`mine`
+// walks the cubes for rules of up to 2 conditions, and reads the dataset
+// for longer ones).
 //
 // Every command rejects flags it does not understand (exit 4, naming the
 // flag) so typos fail loudly instead of silently using defaults.
@@ -588,12 +589,19 @@ int CmdGi(const Args& args) {
 
 int CmdMine(const Args& args) {
   args.RejectUnknown("mine",
-                     {"data", "min-support", "min-confidence",
+                     {"data", "cubes", "min-support", "min-confidence",
                       "max-conditions", "threads", "block-rows", "kernel",
                       "top", "stats", "stats-full", "trace-out"});
+  // Rules are mined from a dataset (any length) or read off a prebuilt
+  // store's cubes (at most 2 conditions).
   const std::string in = args.GetString("data");
-  RequireFlag(in, "data");
-  Dataset data = OrDie(LoadDatasetFromFile(in));
+  const std::string cubes = args.GetString("cubes");
+  if (in.empty() == cubes.empty()) {
+    std::fprintf(stderr,
+                 "opmap: mine needs exactly one input: --data=FILE.opmd or "
+                 "--cubes=FILE.opmc\n");
+    std::exit(4);
+  }
   CarMinerOptions options;
   options.min_support = args.GetDouble("min-support", 0.01);
   options.min_confidence = args.GetDouble("min-confidence", 0.0);
@@ -602,7 +610,17 @@ int CmdMine(const Args& args) {
   options.parallel = ThreadsOf(args);
   options.block_rows = BlockRowsOf(args);
   options.kernel = KernelOf(args);
-  RuleSet rules = OrDie(MineClassAssociationRules(data, options));
+  Schema schema;
+  RuleSet rules;
+  if (!cubes.empty()) {
+    CubeStore store = LoadCubes(args);
+    rules = OrDie(RulesFromCubes(store, options));
+    schema = store.schema();
+  } else {
+    Dataset data = OrDie(LoadDatasetFromFile(in));
+    rules = OrDie(MineClassAssociationRules(data, options));
+    schema = data.schema();
+  }
   rules.SortByConfidence();
   const int top = static_cast<int>(args.GetInt("top", 20));
   std::printf("mined %zu rules from %lld records "
@@ -614,8 +632,7 @@ int CmdMine(const Args& args) {
        i < rules.size() && i < static_cast<size_t>(top > 0 ? top : 0);
        ++i) {
     std::printf("  %s\n",
-                rules.rule(i).ToString(data.schema(),
-                                       rules.num_rows()).c_str());
+                rules.rule(i).ToString(schema, rules.num_rows()).c_str());
   }
   return 0;
 }
@@ -982,9 +999,12 @@ int Usage() {
       "--good=V --bad=V "
       "--class=LABEL --out=FILE.html [--gi] [--threads=N] "
       "[--block-rows=N] [--kernel=K]\n"
-      "  mine      --data=FILE.opmd [--min-support=F] [--min-confidence=F] "
-      "[--max-conditions=N] [--threads=N] [--block-rows=N] [--kernel=K] "
-      "[--top=N]\n"
+      "  mine      --data=FILE.opmd|--cubes=FILE.opmc [--min-support=F] "
+      "[--min-confidence=F] [--max-conditions=N] [--threads=N] "
+      "[--block-rows=N] [--kernel=K] [--top=N]\n"
+      "            class association rules; --cubes reads rules of at most "
+      "2 conditions off a store's cubes, --data mines the dataset for "
+      "any length\n"
       "  ingest    --dir=DIR --csv=FILE.csv [--class=COLUMN] "
       "[--batch-rows=N] [--compact-every=N] [--fsync=always|seal] "
       "[--notify=ADDR] [--threads=N] [--verbose]\n"

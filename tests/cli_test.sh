@@ -198,6 +198,7 @@ grep -q '"io.\|"cube.' "$DIR/cmp.trace" || fail "trace io/cube spans"
 "$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=0 \
     --trace-out="$DIR/mine.trace" >/dev/null || fail "mine --trace-out"
 grep -q '"car.mine"' "$DIR/mine.trace" || fail "trace mine span"
+grep -q '"car.emit"' "$DIR/mine.trace" || fail "trace mine emit span"
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; t=json.load(open(sys.argv[1])); \
 assert t['traceEvents'], 'empty trace'; \
@@ -216,6 +217,26 @@ grep -q "mined " <<< "$m0" || fail "mine summary line"
 m7=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 --top=5 \
     --block-rows=7) || fail "mine --block-rows"
 [ "$m0" = "$m7" ] || fail "mine --block-rows=7 changed the rules"
+# mine --cubes walks the store built from the same call log: the same
+# rules as mining the dataset, every one printed. Exactly one input, and
+# at most 2 conditions, or exit 4 naming the cause.
+mc=$("$OPMAP" mine --cubes="$DIR/d.opmc" --min-support=0.001 \
+    --top=1000000) || fail "mine --cubes"
+md=$("$OPMAP" mine --data="$DIR/d.opmd" --min-support=0.001 \
+    --top=1000000) || fail "mine --data (all rules)"
+grep -q "mined [1-9]" <<< "$mc" || fail "mine --cubes found no rules"
+[ "$mc" = "$md" ] || fail "mine --cubes differs from mine --data"
+rc=0; out=$("$OPMAP" mine --cubes="$DIR/d.opmc" --data="$DIR/d.opmd" \
+    2>&1) || rc=$?
+[ "$rc" -eq 4 ] || fail "mine with --cubes and --data should exit 4 (got $rc)"
+grep -q "exactly one input" <<< "$out" || fail "mine two-input message"
+rc=0; out=$("$OPMAP" mine 2>&1) || rc=$?
+[ "$rc" -eq 4 ] || fail "mine without input should exit 4 (got $rc)"
+grep -q "exactly one input" <<< "$out" || fail "mine no-input message"
+rc=0; out=$("$OPMAP" mine --cubes="$DIR/d.opmc" --max-conditions=3 2>&1) \
+    || rc=$?
+[ "$rc" -eq 4 ] || fail "mine --cubes --max-conditions=3 should exit 4 (got $rc)"
+grep -q "max_conditions=3" <<< "$out" || fail "mine --cubes length message"
 echo "PASS serving"
 
 # ---- streaming ingestion ----

@@ -3,8 +3,8 @@
 // guarantee that the blocked and SIMD kernels are bit-identical to the
 // seed reference loop — for cube builds and CAR mining, across thread
 // counts, tile sizes, and adversarial shapes (empty inputs, all-null
-// columns, domain-width and bit-sliced boundaries, row counts that do
-// not divide the tile, the vector width, or the SIMD sub-tile).
+// columns, domain-width boundaries, row counts that do not divide the
+// tile or the vector width).
 
 #include <cstdlib>
 #include <sstream>
@@ -168,17 +168,6 @@ TEST(PackedColumn, NullsBecomeTheSentinel) {
   }
 }
 
-TEST(PackedColumn, GatherPacksTheRowSubsetInOrder) {
-  const std::vector<ValueCode> codes = {5, 6, 7, kNullCode, 9};
-  const std::vector<int64_t> rows = {4, 0, 3};
-  const PackedColumn col = PackedColumn::PackGather(
-      codes.data(), rows.data(), static_cast<int64_t>(rows.size()), 10);
-  ASSERT_EQ(col.num_rows(), 3);
-  EXPECT_EQ(col.Get(0), 9u);
-  EXPECT_EQ(col.Get(1), 5u);
-  EXPECT_EQ(col.Get(2), col.sentinel());
-}
-
 TEST(PackedColumnSet, ProjectedBytesCoversTheBuiltSet) {
   Dataset d(MakeSchema({{"A", {"a0", "a1", "a2"}},
                         {"B", {"b0", "b1"}},
@@ -332,10 +321,10 @@ Dataset WideDomainDataset(int domain, int64_t rows) {
 }
 
 TEST(KernelEquality, CubeBuildMatchesReferenceAcrossPackedWidths) {
-  // 15 and 16 straddle the bit-sliced small-domain kernel's cutoff
-  // (domain <= 16); 255/256 straddle the one-vs-two-byte packing; 65536
-  // packs to four bytes, which the vector tier cannot widen — inside a
-  // kSimd build that column takes the per-column scalar fallback.
+  // 15 and 16 are small single-byte domains; 255/256 straddle the
+  // one-vs-two-byte packing; 65536 packs to four bytes, which the vector
+  // tier cannot widen — inside a kSimd build that column takes the
+  // per-column scalar fallback.
   for (int domain : {15, 16, 255, 256, 65536}) {
     SCOPED_TRACE(domain);
     ExpectBlockedCubesMatchReference(WideDomainDataset(domain, 1000));
@@ -343,9 +332,9 @@ TEST(KernelEquality, CubeBuildMatchesReferenceAcrossPackedWidths) {
 }
 
 TEST(KernelEquality, CubeBuildMatchesReferenceAcrossSimdSubTileSeams) {
-  // 2051 rows: crosses the 2048-row SIMD sub-tile once with a 3-row
-  // scalar tail that is also not a vector-width multiple; 31 and 33
-  // bracket a whole number of 8-lane (and 4-lane) vectors.
+  // 2051 rows end in a 3-row scalar tail that is not a vector-width
+  // multiple; 31 and 33 bracket a whole number of 8-lane (and 4-lane)
+  // vectors.
   for (int64_t rows : {31, 33, 2051}) {
     SCOPED_TRACE(rows);
     ExpectBlockedCubesMatchReference(PseudoRandomDataset(rows));
@@ -440,8 +429,9 @@ TEST(KernelEquality, CarMiningMatchesReference) {
 }
 
 TEST(KernelEquality, CarMiningMatchesReferenceBeyondLevelTwo) {
-  // max_conditions = 3: the blocked level-2 pass feeds the reference
-  // level-3 combination loop; the handoff must preserve every count.
+  // max_conditions = 3: the level-2 bodies walked from the pair cubes
+  // seed the level-3 combination scan; the handoff must preserve every
+  // count.
   const Dataset data = PseudoRandomDataset(3000);
   CarMinerOptions base;
   base.min_support = 0.01;
@@ -450,8 +440,7 @@ TEST(KernelEquality, CarMiningMatchesReferenceBeyondLevelTwo) {
 }
 
 TEST(KernelEquality, RestrictedCarMiningMatchesReference) {
-  // Fixed conditions exercise the gather form of the packing: only the
-  // matching row subset is packed.
+  // Fixed conditions: only the matching row subset is built into cubes.
   const Dataset data = PseudoRandomDataset(6000);
   CarMinerOptions base;
   base.min_support = 0.005;

@@ -467,6 +467,38 @@ void Main(int argc, char** argv) {
     return built;
   }();
 
+  // Store allocation and copy, the fixed cost every build, restricted
+  // build and ingest publish pays before counting: cube/make is a zeroed
+  // CubeBuilder::Make over the workload's schema, cube/clone a
+  // CubeStore::Clone of the built store. Each row is the median of
+  // kAllocReps runs after one warm-up; items/s = cubes/s.
+  if (!kernel_pinned) {
+    constexpr int kAllocReps = 21;
+    const auto median_ms = [](const auto& body) {
+      body();
+      std::vector<double> ms;
+      for (int i = 0; i < kAllocReps; ++i) {
+        const int64_t start_us = MonotonicMicros();
+        body();
+        ms.push_back(bench::MillisSince(start_us));
+      }
+      std::nth_element(ms.begin(), ms.begin() + kAllocReps / 2, ms.end());
+      return ms[kAllocReps / 2];
+    };
+    const double cubes = static_cast<double>(store.NumCubes());
+    const double make_ms = median_ms([&] {
+      CubeBuilder zeroed = bench::ValueOrDie(
+          CubeBuilder::Make(store.schema(), CubeStoreOptions{}), "make");
+      (void)zeroed;
+    });
+    Report(json, "cube/make", threads, make_ms, cubes / make_ms * 1e3);
+    const double clone_ms = median_ms([&] {
+      CubeStore copy = bench::ValueOrDie(store.Clone(), "clone");
+      (void)copy;
+    });
+    Report(json, "cube/clone", threads, clone_ms, cubes / clone_ms * 1e3);
+  }
+
   // Comparator candidate fan-out (reads only the cubes).
   if (!kernel_pinned) {
     Comparator comparator(&store, parallel);

@@ -111,16 +111,14 @@ Status CubeStore::ReadMeta(BinaryReader* r, Schema schema, CubeStore* out) {
   OPMAP_ASSIGN_OR_RETURN(uint8_t has_pairs, r->ReadU8());
   options.build_pair_cubes = has_pairs != 0;
 
-  // Allocate the zeroed store with the same layout, then fill counts.
-  OPMAP_ASSIGN_OR_RETURN(CubeBuilder builder,
-                         CubeBuilder::Make(std::move(schema), options));
-  *out = std::move(builder).Finish();
+  OPMAP_RETURN_NOT_OK(InitLayout(
+      std::make_shared<const Schema>(std::move(schema)), options, out));
 
   OPMAP_ASSIGN_OR_RETURN(out->num_records_, r->ReadI64());
   if (out->num_records_ < 0) return Status::IOError("negative record count");
   OPMAP_ASSIGN_OR_RETURN(out->class_counts_, r->ReadI64Vector());
   if (out->class_counts_.size() !=
-      static_cast<size_t>(out->schema_.num_classes())) {
+      static_cast<size_t>(out->schema_->num_classes())) {
     return Status::IOError("class count vector does not match schema");
   }
   return Status::OK();
@@ -144,35 +142,26 @@ Result<CubeStore> CubeStore::LoadV2(const std::string& bytes) {
   OPMAP_RETURN_NOT_OK(InSection(
       kSectionMeta,
       ReadMeta(&meta_reader, std::move(schema).MoveValue(), &store)));
+  OPMAP_RETURN_NOT_OK(store.AllocateCubes());
 
-  OPMAP_ASSIGN_OR_RETURN(const Section* attr_sec,
-                         FindSection(sections, kSectionAttrCubes));
-  if (attr_sec->record_count != store.attr_cubes_.size()) {
-    return Status::IOError("section 'attr_cubes' holds " +
-                           std::to_string(attr_sec->record_count) +
-                           " cubes, schema implies " +
-                           std::to_string(store.attr_cubes_.size()));
-  }
-  std::istringstream attr_in(attr_sec->payload);
-  BinaryReader attr_reader(&attr_in, attr_sec->payload.size());
-  for (RuleCube& cube : store.attr_cubes_) {
-    OPMAP_RETURN_NOT_OK(
-        InSection(kSectionAttrCubes, ReadCubeCounts(&attr_reader, &cube)));
-  }
-
-  OPMAP_ASSIGN_OR_RETURN(const Section* pair_sec,
-                         FindSection(sections, kSectionPairCubes));
-  if (pair_sec->record_count != store.pair_cubes_.size()) {
-    return Status::IOError("section 'pair_cubes' holds " +
-                           std::to_string(pair_sec->record_count) +
-                           " cubes, schema implies " +
-                           std::to_string(store.pair_cubes_.size()));
-  }
-  std::istringstream pair_in(pair_sec->payload);
-  BinaryReader pair_reader(&pair_in, pair_sec->payload.size());
-  for (RuleCube& cube : store.pair_cubes_) {
-    OPMAP_RETURN_NOT_OK(
-        InSection(kSectionPairCubes, ReadCubeCounts(&pair_reader, &cube)));
+  // The attribute cubes' counts, then the pair cubes', in store order.
+  const size_t num_attr = store.attributes_.size();
+  for (const char* name : {kSectionAttrCubes, kSectionPairCubes}) {
+    const size_t begin = name == kSectionAttrCubes ? 0 : num_attr;
+    const size_t end = begin == 0 ? num_attr : store.cubes_.size();
+    OPMAP_ASSIGN_OR_RETURN(const Section* sec, FindSection(sections, name));
+    if (sec->record_count != end - begin) {
+      return Status::IOError("section '" + std::string(name) + "' holds " +
+                             std::to_string(sec->record_count) +
+                             " cubes, schema implies " +
+                             std::to_string(end - begin));
+    }
+    std::istringstream in(sec->payload);
+    BinaryReader reader(&in, sec->payload.size());
+    for (size_t i = begin; i < end; ++i) {
+      OPMAP_RETURN_NOT_OK(
+          InSection(name, ReadCubeCounts(&reader, &store.cubes_[i])));
+    }
   }
   return store;
 }
@@ -183,24 +172,22 @@ Result<CubeStore> CubeStore::LoadV1(BinaryReader* r, std::istream* in) {
   OPMAP_ASSIGN_OR_RETURN(Schema schema, ReadSchema(in));
   CubeStore store;
   OPMAP_RETURN_NOT_OK(ReadMeta(r, std::move(schema), &store));
-  for (RuleCube& cube : store.attr_cubes_) {
-    OPMAP_RETURN_NOT_OK(ReadCubeCounts(r, &cube));
-  }
-  for (RuleCube& cube : store.pair_cubes_) {
+  OPMAP_RETURN_NOT_OK(store.AllocateCubes());
+  for (RuleCube& cube : store.cubes_) {
     OPMAP_RETURN_NOT_OK(ReadCubeCounts(r, &cube));
   }
   return store;
 }
 
-// Parses the schema, meta and cube_index sections of a v3 container into a
-// zeroed store plus one index entry per cube. The caller must have
-// CRC-verified those three sections already; cube_data payload bytes are
-// not touched. Validates every index entry against the store's shape and
-// the cube_data range.
-Status CubeStore::ParseV3Skeleton(const char* data,
-                                  const std::vector<AlignedSection>& sections,
-                                  CubeStore* store,
-                                  std::vector<V3CubeEntry>* entries) {
+// Parses the schema, meta and cube_index sections of a v3 container into
+// a store whose cubes are views over the payloads in `data`, plus one index
+// entry per cube. The caller must have CRC-verified those three sections
+// already; cube_data payload bytes are not touched. Validates every index
+// entry against its cube's shape and the cube_data range.
+Status CubeStore::ParseV3Views(const char* data,
+                               const std::vector<AlignedSection>& sections,
+                               CubeStore* store,
+                               std::vector<V3CubeEntry>* entries) {
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* schema_sec,
                          FindAlignedSection(sections, kSectionSchema));
   const std::string schema_payload = PayloadString(data, *schema_sec);
@@ -221,7 +208,7 @@ Status CubeStore::ParseV3Skeleton(const char* data,
                          FindAlignedSection(sections, kSectionCubeIndex));
   OPMAP_ASSIGN_OR_RETURN(const AlignedSection* data_sec,
                          FindAlignedSection(sections, kSectionCubeData));
-  const int64_t num_cubes = store->NumCubes();
+  const int64_t num_cubes = store->LayoutCubes();
   if (index_sec->record_count != static_cast<uint64_t>(num_cubes)) {
     return Status::IOError("section 'cube_index' holds " +
                            std::to_string(index_sec->record_count) +
@@ -234,48 +221,44 @@ Status CubeStore::ParseV3Skeleton(const char* data,
 
   entries->clear();
   entries->reserve(static_cast<size_t>(num_cubes));
-  const int64_t num_attr = static_cast<int64_t>(store->attr_cubes_.size());
-  for (int64_t i = 0; i < num_cubes; ++i) {
-    const RuleCube& cube =
-        i < num_attr
-            ? store->attr_cubes_[static_cast<size_t>(i)]
-            : store->pair_cubes_[static_cast<size_t>(i - num_attr)];
+  store->cubes_.reserve(static_cast<size_t>(num_cubes));
+  return store->ForEachCubeDims([&](const std::vector<int>& dims) -> Status {
+    const auto corrupt = [&](const char* what) {
+      return Status::IOError("cube " + std::to_string(entries->size()) +
+                             what);
+    };
+    const Result<uint64_t> offset = index_reader.ReadU64();
+    const Result<uint64_t> cells = index_reader.ReadU64();
+    const Result<uint32_t> crc = index_reader.ReadU32();
+    for (const Status* st :
+         {&offset.status(), &cells.status(), &crc.status()}) {
+      if (!st->ok()) return InSection(kSectionCubeIndex, *st);
+    }
+    const uint64_t rel_offset = *offset;
     V3CubeEntry e;
-    uint64_t rel_offset = 0;
-    {
-      Result<uint64_t> r = index_reader.ReadU64();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      rel_offset = r.value();
-    }
-    {
-      Result<uint64_t> r = index_reader.ReadU64();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      e.cells = r.value();
-    }
-    {
-      Result<uint32_t> r = index_reader.ReadU32();
-      if (!r.ok()) return InSection(kSectionCubeIndex, r.status());
-      e.crc = r.value();
-    }
-    if (e.cells != static_cast<uint64_t>(cube.num_cells())) {
-      return Status::IOError("cube " + std::to_string(i) +
-                             ": cell count mismatch (file does not match "
-                             "schema)");
+    e.cells = *cells;
+    e.crc = *crc;
+    if (e.cells != static_cast<uint64_t>(store->CellsOf(dims))) {
+      return corrupt(": cell count mismatch (file does not match schema)");
     }
     if (rel_offset % kAlignedPayloadAlignment != 0) {
-      return Status::IOError("cube " + std::to_string(i) +
-                             ": payload offset is not aligned");
+      return corrupt(": payload offset is not aligned");
     }
     const uint64_t bytes = e.cells * sizeof(int64_t);
     if (bytes > data_sec->size || rel_offset > data_sec->size - bytes) {
-      return Status::IOError("cube " + std::to_string(i) +
-                             ": payload range exceeds the 'cube_data' "
-                             "section");
+      return corrupt(": payload range exceeds the 'cube_data' section");
     }
     e.abs_offset = data_sec->offset + rel_offset;
     entries->push_back(e);
-  }
-  return Status::OK();
+    OPMAP_ASSIGN_OR_RETURN(
+        RuleCube view,
+        RuleCube::MakeView(
+            store->schema_, dims,
+            reinterpret_cast<const int64_t*>(data + e.abs_offset),
+            static_cast<int64_t>(e.cells)));
+    store->cubes_.push_back(std::move(view));
+    return Status::OK();
+  });
 }
 
 // Full eager verification + copy: used by LoadFromBytes on v3 and by
@@ -316,30 +299,29 @@ Result<CubeStore> CubeStore::LoadV3Eager(const std::string& bytes) {
 
   CubeStore store;
   std::vector<V3CubeEntry> entries;
-  OPMAP_RETURN_NOT_OK(
-      ParseV3Skeleton(bytes.data(), sections, &store, &entries));
-  const auto num_attr = static_cast<int64_t>(store.attr_cubes_.size());
+  OPMAP_RETURN_NOT_OK(ParseV3Views(bytes.data(), sections, &store, &entries));
+  uint64_t cells = 0;
+  for (const V3CubeEntry& e : entries) cells += e.cells;
+  store.counts_.reserve(static_cast<size_t>(cells));
   for (size_t i = 0; i < entries.size(); ++i) {
     const V3CubeEntry& e = entries[i];
-    RuleCube& cube = static_cast<int64_t>(i) < num_attr
-                         ? store.attr_cubes_[i]
-                         : store.pair_cubes_[i - static_cast<size_t>(num_attr)];
-    const char* src = bytes.data() + e.abs_offset;
-    const size_t nbytes = static_cast<size_t>(e.cells) * sizeof(int64_t);
+    const auto* src =
+        reinterpret_cast<const int64_t*>(bytes.data() + e.abs_offset);
     // The cube's own CRC was already covered by the cube_data section CRC;
     // re-check it so an internally inconsistent index fails here like it
     // would on the lazy path.
-    if (Crc32c(src, nbytes) != e.crc) {
+    if (Crc32c(src, static_cast<size_t>(e.cells) * sizeof(int64_t)) !=
+        e.crc) {
       return Status::IOError("cube " + std::to_string(i) +
                              " payload CRC mismatch: the file is corrupt");
     }
-    std::memcpy(cube.raw_counts(), src, nbytes);
-    for (int64_t c = 0; c < cube.num_cells(); ++c) {
-      if (cube.raw_counts()[c] < 0) {
-        return Status::IOError("negative cube count");
-      }
+    if (std::any_of(src, src + e.cells, [](int64_t c) { return c < 0; })) {
+      return Status::IOError("negative cube count");
     }
+    store.counts_.insert(store.counts_.end(), src, src + e.cells);
   }
+  // Re-point the cubes from `bytes` to the store's own copy.
+  OPMAP_RETURN_NOT_OK(store.ViewCounts());
   return store;
 }
 
@@ -364,28 +346,7 @@ Result<CubeStore> CubeStore::LoadV3Mapped(const std::string& path, Env* env) {
   CubeStore store;
   std::vector<V3CubeEntry> entries;
   OPMAP_RETURN_NOT_OK(
-      ParseV3Skeleton(region->data(), sections, &store, &entries));
-
-  // Point every cube at the mapping: replace the zeroed owned cubes from
-  // ReadMeta with views of the same shape. No payload byte is touched.
-  const auto num_attr = static_cast<int64_t>(store.attr_cubes_.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    RuleCube& cube = static_cast<int64_t>(i) < num_attr
-                         ? store.attr_cubes_[i]
-                         : store.pair_cubes_[i - static_cast<size_t>(num_attr)];
-    std::vector<int> dims;
-    dims.reserve(static_cast<size_t>(cube.num_dims()));
-    for (int d = 0; d < cube.num_dims(); ++d) {
-      dims.push_back(cube.dim_attribute(d));
-    }
-    const auto* counts = reinterpret_cast<const int64_t*>(
-        region->data() + entries[i].abs_offset);
-    OPMAP_ASSIGN_OR_RETURN(
-        RuleCube view,
-        RuleCube::MakeView(store.schema_, std::move(dims), counts,
-                           cube.num_cells()));
-    cube = std::move(view);
-  }
+      ParseV3Views(region->data(), sections, &store, &entries));
 
   auto mapped = std::make_unique<Mapped>();
   mapped->num_entries = static_cast<int64_t>(entries.size());
@@ -428,7 +389,7 @@ Status CubeStore::VerifyMappedCube(int64_t index) const {
     }
   }
   if (s == 2) {
-    const auto num_attr = static_cast<int64_t>(attr_cubes_.size());
+    const auto num_attr = static_cast<int64_t>(attributes_.size());
     const std::string which =
         index < num_attr
             ? "attr cube " + std::to_string(index)
@@ -466,7 +427,7 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
 
   {
     std::ostringstream schema_out;
-    WriteSchema(schema_, &schema_out);
+    WriteSchema(*schema_, &schema_out);
     sections.push_back(Section{kSectionSchema,
                                static_cast<uint64_t>(attributes_.size()),
                                schema_out.str()});
@@ -486,19 +447,14 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
 
   std::string bytes;
   if (format == SaveFormat::kV2) {
-    {
+    const size_t num_attr = attributes_.size();
+    for (const char* name : {kSectionAttrCubes, kSectionPairCubes}) {
+      const size_t begin = name == kSectionAttrCubes ? 0 : num_attr;
+      const size_t end = begin == 0 ? num_attr : cubes_.size();
       std::ostringstream cubes_out;
       BinaryWriter w(&cubes_out);
-      for (const RuleCube& cube : attr_cubes_) WriteCubeCounts(cube, &w);
-      sections.push_back(Section{kSectionAttrCubes, attr_cubes_.size(),
-                                 cubes_out.str()});
-    }
-    {
-      std::ostringstream cubes_out;
-      BinaryWriter w(&cubes_out);
-      for (const RuleCube& cube : pair_cubes_) WriteCubeCounts(cube, &w);
-      sections.push_back(Section{kSectionPairCubes, pair_cubes_.size(),
-                                 cubes_out.str()});
+      for (size_t i = begin; i < end; ++i) WriteCubeCounts(cubes_[i], &w);
+      sections.push_back(Section{name, end - begin, cubes_out.str()});
     }
     bytes = SerializeContainer(kCubeMagic, kCubeVersionV2, sections);
   } else {
@@ -507,8 +463,7 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
     std::ostringstream index_out;
     BinaryWriter iw(&index_out);
     std::string data;
-    const uint64_t num_cubes = attr_cubes_.size() + pair_cubes_.size();
-    auto add_cube = [&](const RuleCube& cube) {
+    for (const RuleCube& cube : cubes_) {
       AppendAlignmentPadding(&data);
       const auto* counts =
           reinterpret_cast<const char*>(cube.raw_counts());
@@ -518,9 +473,8 @@ Status CubeStore::Save(std::ostream* out, SaveFormat format) const {
       iw.WriteU64(static_cast<uint64_t>(cube.num_cells()));
       iw.WriteU32(Crc32c(counts, nbytes));
       data.append(counts, nbytes);
-    };
-    for (const RuleCube& cube : attr_cubes_) add_cube(cube);
-    for (const RuleCube& cube : pair_cubes_) add_cube(cube);
+    }
+    const uint64_t num_cubes = cubes_.size();
     sections.push_back(
         Section{kSectionCubeIndex, num_cubes, index_out.str()});
     sections.push_back(Section{kSectionCubeData, num_cubes, std::move(data)});

@@ -18,7 +18,7 @@ Result<const RuleCube*> CubeStore::AttrCube(int attr) const {
   }
   // First touch of a lazily mapped cube CRC-verifies its payload.
   OPMAP_RETURN_NOT_OK(VerifyMappedCube(slot));
-  return &attr_cubes_[static_cast<size_t>(slot)];
+  return &cubes_[static_cast<size_t>(slot)];
 }
 
 Result<const RuleCube*> CubeStore::PairCube(int a, int b) const {
@@ -40,13 +40,13 @@ Result<const RuleCube*> CubeStore::PairCube(int a, int b) const {
   const int64_t idx = static_cast<int64_t>(sa) * (2 * m - sa - 1) / 2 +
                       (sb - sa - 1);
   // First touch of a lazily mapped cube CRC-verifies its payload.
-  OPMAP_RETURN_NOT_OK(
-      VerifyMappedCube(static_cast<int64_t>(attr_cubes_.size()) + idx));
-  return &pair_cubes_[static_cast<size_t>(idx)];
+  const int64_t index = m + idx;
+  OPMAP_RETURN_NOT_OK(VerifyMappedCube(index));
+  return &cubes_[static_cast<size_t>(index)];
 }
 
 int64_t CubeStore::NumCubes() const {
-  return static_cast<int64_t>(attr_cubes_.size() + pair_cubes_.size());
+  return static_cast<int64_t>(cubes_.size());
 }
 
 int64_t CubeStore::MemoryUsageBytes() const {
@@ -55,8 +55,7 @@ int64_t CubeStore::MemoryUsageBytes() const {
   // understated (the clamp additionally charges packed-column scratch;
   // see CubeBuilder::PlanShards).
   int64_t bytes = 0;
-  for (const auto& c : attr_cubes_) bytes += c.MemoryUsageBytes();
-  for (const auto& c : pair_cubes_) bytes += c.MemoryUsageBytes();
+  bytes += static_cast<int64_t>(counts_.capacity() * sizeof(int64_t));
   bytes += static_cast<int64_t>(class_counts_.capacity() * sizeof(int64_t));
   bytes += static_cast<int64_t>(attributes_.capacity() * sizeof(int));
   bytes += static_cast<int64_t>(attr_slot_.capacity() * sizeof(int));
@@ -72,27 +71,19 @@ Result<CubeStore> CubeStore::Clone() const {
   out.num_records_ = num_records_;
   out.class_counts_ = class_counts_;
   out.has_pair_cubes_ = has_pair_cubes_;
-  const int64_t num_attr_cubes = static_cast<int64_t>(attr_cubes_.size());
-  for (int64_t i = 0;
-       i < num_attr_cubes + static_cast<int64_t>(pair_cubes_.size()); ++i) {
-    // First touch of a lazily mapped cube CRC-verifies its payload, so a
-    // clone never materializes silently corrupt counts.
-    OPMAP_RETURN_NOT_OK(VerifyMappedCube(i));
-    const RuleCube& src =
-        i < num_attr_cubes
-            ? attr_cubes_[static_cast<size_t>(i)]
-            : pair_cubes_[static_cast<size_t>(i - num_attr_cubes)];
-    std::vector<int> dims(static_cast<size_t>(src.num_dims()));
-    for (int d = 0; d < src.num_dims(); ++d) {
-      dims[static_cast<size_t>(d)] = src.dim_attribute(d);
+  if (mapped_ == nullptr) {
+    out.counts_ = counts_;
+  } else {
+    for (size_t i = 0; i < cubes_.size(); ++i) {
+      // First touch of a lazily mapped cube CRC-verifies its payload, so
+      // a clone never materializes silently corrupt counts.
+      OPMAP_RETURN_NOT_OK(VerifyMappedCube(static_cast<int64_t>(i)));
+      const RuleCube& src = cubes_[i];
+      out.counts_.insert(out.counts_.end(), src.raw_counts(),
+                         src.raw_counts() + src.num_cells());
     }
-    OPMAP_ASSIGN_OR_RETURN(RuleCube copy,
-                           RuleCube::Make(schema_, std::move(dims)));
-    std::copy(src.raw_counts(), src.raw_counts() + src.num_cells(),
-              copy.raw_counts());
-    (i < num_attr_cubes ? out.attr_cubes_ : out.pair_cubes_)
-        .push_back(std::move(copy));
   }
+  OPMAP_RETURN_NOT_OK(out.ViewCounts());
   return out;
 }
 
@@ -105,22 +96,14 @@ Status CubeStore::AddCounts(const CubeStore& delta) {
   if (attributes_ != delta.attributes_ ||
       has_pair_cubes_ != delta.has_pair_cubes_ ||
       class_counts_.size() != delta.class_counts_.size() ||
-      attr_cubes_.size() != delta.attr_cubes_.size() ||
-      pair_cubes_.size() != delta.pair_cubes_.size()) {
+      cubes_.size() != delta.cubes_.size()) {
     return Status::InvalidArgument(
         "delta store shape does not match the base store");
   }
-  const int64_t num_attr_cubes = static_cast<int64_t>(attr_cubes_.size());
-  for (int64_t i = 0;
-       i < num_attr_cubes + static_cast<int64_t>(pair_cubes_.size()); ++i) {
-    OPMAP_RETURN_NOT_OK(delta.VerifyMappedCube(i));
-    RuleCube& dst = i < num_attr_cubes
-                        ? attr_cubes_[static_cast<size_t>(i)]
-                        : pair_cubes_[static_cast<size_t>(i - num_attr_cubes)];
-    const RuleCube& src =
-        i < num_attr_cubes
-            ? delta.attr_cubes_[static_cast<size_t>(i)]
-            : delta.pair_cubes_[static_cast<size_t>(i - num_attr_cubes)];
+  for (size_t i = 0; i < cubes_.size(); ++i) {
+    OPMAP_RETURN_NOT_OK(delta.VerifyMappedCube(static_cast<int64_t>(i)));
+    RuleCube& dst = cubes_[i];
+    const RuleCube& src = delta.cubes_[i];
     if (dst.num_cells() != src.num_cells()) {
       return Status::InvalidArgument(
           "delta cube cell count does not match the base store");
@@ -136,31 +119,32 @@ Status CubeStore::AddCounts(const CubeStore& delta) {
   return Status::OK();
 }
 
-Result<CubeBuilder> CubeBuilder::Make(Schema schema,
-                                      CubeStoreOptions options) {
-  if (schema.num_attributes() == 0) {
+Status CubeStore::InitLayout(std::shared_ptr<const Schema> schema,
+                             const CubeStoreOptions& options,
+                             CubeStore* out) {
+  if (schema->num_attributes() == 0) {
     return Status::InvalidArgument("empty schema");
   }
   std::vector<int> attrs = options.attributes;
   if (attrs.empty()) {
-    for (int a = 0; a < schema.num_attributes(); ++a) {
-      if (!schema.is_class(a) && schema.attribute(a).is_categorical()) {
+    for (int a = 0; a < schema->num_attributes(); ++a) {
+      if (!schema->is_class(a) && schema->attribute(a).is_categorical()) {
         attrs.push_back(a);
       }
     }
   } else {
     std::unordered_set<int> seen;
     for (int a : attrs) {
-      if (a < 0 || a >= schema.num_attributes()) {
+      if (a < 0 || a >= schema->num_attributes()) {
         return Status::OutOfRange("cube store attribute out of range");
       }
-      if (schema.is_class(a)) {
+      if (schema->is_class(a)) {
         return Status::InvalidArgument(
             "class attribute cannot be a cube store attribute");
       }
-      if (!schema.attribute(a).is_categorical()) {
+      if (!schema->attribute(a).is_categorical()) {
         return Status::InvalidArgument(
-            "continuous attribute '" + schema.attribute(a).name() +
+            "continuous attribute '" + schema->attribute(a).name() +
             "' cannot be materialized; discretize first");
       }
       if (!seen.insert(a).second) {
@@ -170,94 +154,85 @@ Result<CubeBuilder> CubeBuilder::Make(Schema schema,
     std::sort(attrs.begin(), attrs.end());
   }
 
+  out->attributes_ = std::move(attrs);
+  out->attr_slot_.assign(static_cast<size_t>(schema->num_attributes()), -1);
+  for (size_t i = 0; i < out->attributes_.size(); ++i) {
+    out->attr_slot_[static_cast<size_t>(out->attributes_[i])] =
+        static_cast<int>(i);
+  }
+  out->class_counts_.assign(static_cast<size_t>(schema->num_classes()), 0);
+  out->has_pair_cubes_ = options.build_pair_cubes;
+  out->schema_ = std::move(schema);
+  return Status::OK();
+}
+
+int64_t CubeStore::CellsOf(const std::vector<int>& dims) const {
+  int64_t cells = 1;
+  for (int a : dims) cells *= schema_->attribute(a).domain();
+  return cells;
+}
+
+Status CubeStore::ViewCounts() {
+  cubes_.clear();
+  cubes_.reserve(static_cast<size_t>(LayoutCubes()));
+  int64_t offset = 0;
+  return ForEachCubeDims([&](const std::vector<int>& dims) -> Status {
+    const int64_t cells = CellsOf(dims);
+    OPMAP_ASSIGN_OR_RETURN(
+        RuleCube cube,
+        RuleCube::MakeView(schema_, dims, counts_.data() + offset, cells));
+    cubes_.push_back(std::move(cube));
+    offset += cells;
+    return Status::OK();
+  });
+}
+
+Status CubeStore::AllocateCubes(int64_t max_bytes) {
+  int64_t cells = 0;
+  OPMAP_RETURN_NOT_OK(ForEachCubeDims([&](const std::vector<int>& dims) {
+    cells += CellsOf(dims);
+    return Status::OK();
+  }));
+  // Enforce the budget before allocating anything: a wide schema with
+  // large domains can demand terabytes of pair cubes, and the server
+  // should answer kOutOfRange, not die in the allocator.
+  const int64_t bytes = cells * static_cast<int64_t>(sizeof(int64_t));
+  if (max_bytes > 0 && bytes > max_bytes) {
+    return Status::OutOfRange(
+        "cube materialization needs more than the " +
+        std::to_string(max_bytes) + "-byte memory budget (" +
+        std::to_string(bytes) +
+        " bytes projected); raise the budget or materialize fewer "
+        "attributes");
+  }
+  counts_.assign(static_cast<size_t>(cells), 0);
+  return ViewCounts();
+}
+
+Result<CubeBuilder> CubeBuilder::Make(Schema schema,
+                                      CubeStoreOptions options) {
   CubeBuilder builder;
+  CubeStore& store = builder.store_;
+  OPMAP_RETURN_NOT_OK(CubeStore::InitLayout(
+      std::make_shared<const Schema>(std::move(schema)), options, &store));
   builder.parallel_ = options.parallel;
   builder.max_memory_bytes_ = options.max_memory_bytes;
   builder.kernel_ = options.kernel;
   builder.block_rows_ = ResolveBlockRows(options.block_rows);
-  CubeStore& store = builder.store_;
-  store.schema_ = std::move(schema);
-  store.attributes_ = std::move(attrs);
-  store.attr_slot_.assign(
-      static_cast<size_t>(store.schema_.num_attributes()), -1);
-  for (size_t i = 0; i < store.attributes_.size(); ++i) {
-    store.attr_slot_[static_cast<size_t>(store.attributes_[i])] =
-        static_cast<int>(i);
-  }
-  store.class_counts_.assign(
-      static_cast<size_t>(store.schema_.num_classes()), 0);
-  store.has_pair_cubes_ = options.build_pair_cubes;
+  const Schema& ss = store.schema();
+  builder.class_index_ = ss.class_index();
+  builder.num_classes_ = ss.num_classes();
 
-  builder.class_index_ = store.schema_.class_index();
-  builder.num_classes_ = store.schema_.num_classes();
-
+  OPMAP_RETURN_NOT_OK(store.AllocateCubes(options.max_memory_bytes));
   const int m = static_cast<int>(store.attributes_.size());
-
-  // Enforce the memory budget before allocating anything: a wide schema
-  // with large domains can demand terabytes of pair cubes, and the server
-  // should answer kOutOfRange, not die in the allocator.
-  if (options.max_memory_bytes > 0) {
-    const int64_t nc = store.schema_.num_classes();
-    int64_t projected = 0;
-    for (int i = 0; i < m; ++i) {
-      const int64_t di =
-          store.schema_.attribute(store.attributes_[static_cast<size_t>(i)])
-              .domain();
-      projected += di * nc * static_cast<int64_t>(sizeof(int64_t));
-      if (options.build_pair_cubes) {
-        for (int j = i + 1; j < m; ++j) {
-          const int64_t dj =
-              store.schema_
-                  .attribute(store.attributes_[static_cast<size_t>(j)])
-                  .domain();
-          projected += di * dj * nc * static_cast<int64_t>(sizeof(int64_t));
-        }
-      }
-      if (projected > options.max_memory_bytes) {
-        return Status::OutOfRange(
-            "cube materialization needs more than the " +
-            std::to_string(options.max_memory_bytes) +
-            "-byte memory budget (" + std::to_string(projected) +
-            "+ bytes projected); raise the budget or materialize fewer "
-            "attributes");
-      }
-    }
-  }
-
-  store.attr_cubes_.reserve(static_cast<size_t>(m));
   for (int a : store.attributes_) {
-    OPMAP_ASSIGN_OR_RETURN(
-        RuleCube cube,
-        RuleCube::Make(store.schema_, {a, builder.class_index_}));
-    store.attr_cubes_.push_back(std::move(cube));
-    builder.sizes_.push_back(store.schema_.attribute(a).domain());
-  }
-  if (options.build_pair_cubes) {
-    store.pair_cubes_.reserve(static_cast<size_t>(m) *
-                              static_cast<size_t>(m - 1) / 2);
-    for (int i = 0; i < m; ++i) {
-      for (int j = i + 1; j < m; ++j) {
-        OPMAP_ASSIGN_OR_RETURN(
-            RuleCube cube,
-            RuleCube::Make(store.schema_,
-                           {store.attributes_[static_cast<size_t>(i)],
-                            store.attributes_[static_cast<size_t>(j)],
-                            builder.class_index_}));
-        store.pair_cubes_.push_back(std::move(cube));
-      }
-    }
+    builder.sizes_.push_back(ss.attribute(a).domain());
   }
 
-  // Raw pointers for the hot loop (stable: vectors are fully built).
-  for (auto& c : store.attr_cubes_) {
-    builder.attr_raw_.push_back(c.raw_counts());
-    builder.attr_cells_.push_back(c.num_cells());
-    builder.total_cells_ += c.num_cells();
-  }
-  for (auto& c : store.pair_cubes_) {
-    builder.pair_raw_.push_back(c.raw_counts());
-    builder.pair_cells_.push_back(c.num_cells());
-    builder.total_cells_ += c.num_cells();
+  // Raw pointers for the hot loop (stable: the count block is allocated).
+  for (size_t i = 0; i < store.cubes_.size(); ++i) {
+    (i < static_cast<size_t>(m) ? builder.attr_raw_ : builder.pair_raw_)
+        .push_back(store.cubes_[i].raw_counts());
   }
   builder.pair_base_.resize(static_cast<size_t>(m));
   int base = 0;
@@ -361,7 +336,7 @@ int CubeBuilder::PlanShards(int64_t num_rows, int64_t reserved_bytes,
     // materialization itself, net of the scratch already reserved for
     // this pass (packed columns and shard 0's tiles).
     const int64_t copy_bytes =
-        total_cells_ * static_cast<int64_t>(sizeof(int64_t)) +
+        static_cast<int64_t>(store_.counts_.size() * sizeof(int64_t)) +
         per_shard_bytes;
     const int64_t headroom =
         max_memory_bytes_ - store_.MemoryUsageBytes() - reserved_bytes;
@@ -376,7 +351,7 @@ int CubeBuilder::PlanShards(int64_t num_rows, int64_t reserved_bytes,
 Status CubeBuilder::AddDataset(const Dataset& dataset) {
   OPMAP_TRACE_SPAN("cube.add_dataset");
   const Schema& ds = dataset.schema();
-  const Schema& ss = store_.schema_;
+  const Schema& ss = store_.schema();
   if (ds.num_attributes() != ss.num_attributes() ||
       ds.class_index() != ss.class_index()) {
     return Status::InvalidArgument("dataset schema does not match cube store");
@@ -486,12 +461,14 @@ Status CubeBuilder::AddDataset(const Dataset& dataset) {
     return Status::OK();
   }
 
-  // Shard-and-merge: shard 0 counts straight into the store's buffers;
-  // every other shard counts into a private flat buffer (all cubes
-  // concatenated) that is merged below. Integer addition commutes, so the
+  // Shard-and-merge: shard 0 counts straight into the store's count
+  // block; every other shard counts into a private zeroed copy of it (same
+  // layout) that is merged below. Integer addition commutes, so the
   // merged counts are bit-identical to a serial pass for any shard count.
+  int64_t* const block = store_.counts_.data();
+  const size_t block_cells = store_.counts_.size();
   struct ShardState {
-    std::vector<int64_t> cells;          // total_cells_ zeros
+    std::vector<int64_t> cells;
     std::vector<int64_t> class_counts;
     int64_t num_records = 0;
     std::vector<int64_t*> attr_ptrs;
@@ -499,18 +476,14 @@ Status CubeBuilder::AddDataset(const Dataset& dataset) {
   };
   std::vector<ShardState> privates(static_cast<size_t>(shards - 1));
   for (ShardState& s : privates) {
-    s.cells.assign(static_cast<size_t>(total_cells_), 0);
+    s.cells.assign(block_cells, 0);
     s.class_counts.assign(store_.class_counts_.size(), 0);
-    int64_t* cursor = s.cells.data();
-    s.attr_ptrs.reserve(attr_cells_.size());
-    for (int64_t cells : attr_cells_) {
-      s.attr_ptrs.push_back(cursor);
-      cursor += cells;
+    // Each cube sits at the same offset in the copy as in the block.
+    for (int64_t* p : attr_raw_) {
+      s.attr_ptrs.push_back(s.cells.data() + (p - block));
     }
-    s.pair_ptrs.reserve(pair_cells_.size());
-    for (int64_t cells : pair_cells_) {
-      s.pair_ptrs.push_back(cursor);
-      cursor += cells;
+    for (int64_t* p : pair_raw_) {
+      s.pair_ptrs.push_back(s.cells.data() + (p - block));
     }
   }
 
@@ -531,30 +504,13 @@ Status CubeBuilder::AddDataset(const Dataset& dataset) {
     for (size_t c = 0; c < store_.class_counts_.size(); ++c) {
       store_.class_counts_[c] += s.class_counts[c];
     }
-    const int64_t* src = s.cells.data();
-    for (size_t i = 0; i < attr_raw_.size(); ++i) {
-      int64_t* dst = attr_raw_[i];
-      const int64_t cells = attr_cells_[i];
-      for (int64_t c = 0; c < cells; ++c) dst[c] += src[c];
-      src += cells;
-    }
-    for (size_t i = 0; i < pair_raw_.size(); ++i) {
-      int64_t* dst = pair_raw_[i];
-      const int64_t cells = pair_cells_[i];
-      for (int64_t c = 0; c < cells; ++c) dst[c] += src[c];
-      src += cells;
-    }
+    for (size_t c = 0; c < block_cells; ++c) block[c] += s.cells[c];
   }
   return Status::OK();
 }
 
 void CubeBuilder::Reset() {
-  for (RuleCube& cube : store_.attr_cubes_) {
-    std::fill_n(cube.raw_counts(), cube.num_cells(), 0);
-  }
-  for (RuleCube& cube : store_.pair_cubes_) {
-    std::fill_n(cube.raw_counts(), cube.num_cells(), 0);
-  }
+  std::fill(store_.counts_.begin(), store_.counts_.end(), 0);
   std::fill(store_.class_counts_.begin(), store_.class_counts_.end(), 0);
   store_.num_records_ = 0;
 }

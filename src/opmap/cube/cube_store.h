@@ -94,7 +94,9 @@ class CubeStore {
   CubeStore(CubeStore&&) noexcept;
   CubeStore& operator=(CubeStore&&) noexcept;
 
-  const Schema& schema() const { return schema_; }
+  /// The store's schema, shared with every cube (RuleCube reads names and
+  /// labels through it).
+  const Schema& schema() const { return *schema_; }
 
   /// Attributes included in the store (ascending schema indices).
   const std::vector<int>& attributes() const { return attributes_; }
@@ -171,8 +173,53 @@ class CubeStore {
 
   CubeStore();  // out of line: the lazy-mapping state is incomplete here
 
-  // Version-specific load paths (cube_io.cc). ReadMeta fills everything
-  // that is not schema or cube counts.
+  // Validates `options` against `schema` and fills the store's layout:
+  // schema, attributes, slots, zeroed class counts and the pair flag.
+  static Status InitLayout(std::shared_ptr<const Schema> schema,
+                           const CubeStoreOptions& options, CubeStore* out);
+
+  // Calls fn(dims) for every cube of the layout in store order: the
+  // attribute cubes, then the packed pair triangle. Stops at the first
+  // error fn returns.
+  template <typename Fn>
+  Status ForEachCubeDims(Fn&& fn) const {
+    std::vector<int> dims{0, schema_->class_index()};
+    for (int a : attributes_) {
+      dims[0] = a;
+      OPMAP_RETURN_NOT_OK(fn(dims));
+    }
+    if (!has_pair_cubes_) return Status::OK();
+    dims.insert(dims.begin(), 0);
+    for (size_t i = 0; i < attributes_.size(); ++i) {
+      for (size_t j = i + 1; j < attributes_.size(); ++j) {
+        dims[0] = attributes_[i];
+        dims[1] = attributes_[j];
+        OPMAP_RETURN_NOT_OK(fn(dims));
+      }
+    }
+    return Status::OK();
+  }
+
+  // Number of cubes the layout implies (before any cube exists).
+  int64_t LayoutCubes() const {
+    const auto m = static_cast<int64_t>(attributes_.size());
+    return m + (has_pair_cubes_ ? m * (m - 1) / 2 : 0);
+  }
+
+  // Cells of the cube over schema attributes `dims`.
+  int64_t CellsOf(const std::vector<int>& dims) const;
+
+  // Creates every cube of the layout as a view into counts_, which must
+  // hold the layout's cube counts back to back in store order.
+  Status ViewCounts();
+
+  // Zeroes counts_ for the whole layout and views every cube into it;
+  // kOutOfRange, before allocating, when that needs more than `max_bytes`
+  // (0 = unlimited).
+  Status AllocateCubes(int64_t max_bytes = 0);
+
+  // Version-specific load paths (cube_io.cc). ReadMeta fills the layout
+  // and the record and class counts; it creates no cube.
   static Status ReadMeta(BinaryReader* r, Schema schema, CubeStore* out);
   static Result<CubeStore> LoadV1(BinaryReader* r, std::istream* in);
   static Result<CubeStore> LoadV2(const std::string& bytes);
@@ -187,12 +234,13 @@ class CubeStore {
     uint32_t crc = 0;
   };
   // Parses the schema/meta/cube_index sections of a v3 container (already
-  // CRC-verified by the caller) into a zeroed store plus one index entry
-  // per cube; cube_data payload bytes are not touched.
-  static Status ParseV3Skeleton(const char* data,
-                                const std::vector<AlignedSection>& sections,
-                                CubeStore* store,
-                                std::vector<V3CubeEntry>* entries);
+  // CRC-verified by the caller) into a store whose cubes are views over the
+  // payloads in `data`, plus one index entry per cube; cube_data payload
+  // bytes are not touched.
+  static Status ParseV3Views(const char* data,
+                             const std::vector<AlignedSection>& sections,
+                             CubeStore* store,
+                             std::vector<V3CubeEntry>* entries);
 
   // First-touch payload verification for lazily loaded stores: CRC-checks
   // cube `index` (attr cubes first, then pair cubes) once, caching the
@@ -205,14 +253,19 @@ class CubeStore {
                : -1;
   }
 
-  Schema schema_;
+  std::shared_ptr<const Schema> schema_;  // shared with every cube
   std::vector<int> attributes_;
   std::vector<int> attr_slot_;  // schema attr -> position in attributes_
   int64_t num_records_ = 0;
   std::vector<int64_t> class_counts_;
-  std::vector<RuleCube> attr_cubes_;  // one per included attribute
   bool has_pair_cubes_ = false;
-  std::vector<RuleCube> pair_cubes_;  // packed upper triangle
+  // Store order: one attribute cube per included attribute, then the
+  // packed upper triangle of pair cubes. Each cube is a view: into
+  // counts_, or into the file mapping of a lazily loaded store.
+  std::vector<RuleCube> cubes_;
+  // Every cube's counts back to back in store order, in one allocation;
+  // empty for a lazily loaded store.
+  std::vector<int64_t> counts_;
 
   // Lazy v3 serving state (cube_io.cc); null for built/eager stores.
   // Mutable: first-touch verification caches its verdict through const
@@ -302,9 +355,6 @@ class CubeBuilder {
   int64_t max_memory_bytes_ = 0;
   CountKernel kernel_ = CountKernel::kBlocked;
   int64_t block_rows_ = kDefaultBlockRows;
-  std::vector<int64_t> attr_cells_;  // cells per attribute cube
-  std::vector<int64_t> pair_cells_;  // cells per pair cube
-  int64_t total_cells_ = 0;          // sum of the two, for shard buffers
 };
 
 }  // namespace opmap

@@ -3,88 +3,98 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <unordered_set>
 
 namespace opmap {
 
-Result<RuleCube> RuleCube::Make(const Schema& schema, std::vector<int> dims) {
+Result<int64_t> RuleCube::InitShape(std::shared_ptr<const Schema> schema,
+                                    const std::vector<int>& dims) {
+  if (schema == nullptr) {
+    return Status::InvalidArgument("a rule cube needs a schema");
+  }
+  if (dims.empty()) {
+    return Status::InvalidArgument("a rule cube needs at least one dimension");
+  }
+  shape_.resize(dims.size());
+  for (size_t d = 0; d < dims.size(); ++d) {
+    const int a = dims[d];
+    if (a < 0 || a >= schema->num_attributes()) {
+      return Status::OutOfRange("cube dimension attribute out of range");
+    }
+    const Attribute& attr = schema->attribute(a);
+    if (!attr.is_categorical()) {
+      return Status::InvalidArgument("cube dimension '" + attr.name() +
+                                     "' is not categorical");
+    }
+    const auto prior = dims.begin() + static_cast<std::ptrdiff_t>(d);
+    if (std::find(dims.begin(), prior, a) != prior) {
+      return Status::InvalidArgument("duplicate cube dimension");
+    }
+    shape_[d].attr = a;
+    shape_[d].size = attr.domain();
+  }
+  schema_ = std::move(schema);
+  return SetStrides();
+}
+
+Result<RuleCube> RuleCube::Make(std::shared_ptr<const Schema> schema,
+                                const std::vector<int>& dims) {
   RuleCube cube;
   OPMAP_ASSIGN_OR_RETURN(int64_t cells,
-                         BuildShape(schema, std::move(dims), &cube));
+                         cube.InitShape(std::move(schema), dims));
   cube.counts_.assign(static_cast<size_t>(cells), 0);
   return cube;
 }
 
-Result<RuleCube> RuleCube::MakeView(const Schema& schema,
-                                    std::vector<int> dims,
+Result<RuleCube> RuleCube::MakeView(std::shared_ptr<const Schema> schema,
+                                    const std::vector<int>& dims,
                                     const int64_t* counts,
                                     int64_t num_cells) {
-  if (counts == nullptr) {
-    return Status::InvalidArgument("cube view needs a count array");
-  }
   RuleCube cube;
   OPMAP_ASSIGN_OR_RETURN(int64_t cells,
-                         BuildShape(schema, std::move(dims), &cube));
+                         cube.InitShape(std::move(schema), dims));
   if (cells != num_cells) {
     return Status::InvalidArgument(
         "cube view holds " + std::to_string(num_cells) +
         " cells, shape implies " + std::to_string(cells));
+  }
+  if (counts == nullptr && cells > 0) {
+    return Status::InvalidArgument("cube view needs a count array");
   }
   cube.extern_counts_ = counts;
   cube.extern_cells_ = num_cells;
   return cube;
 }
 
-Result<int64_t> RuleCube::BuildShape(const Schema& schema,
-                                     std::vector<int> dims, RuleCube* cube) {
-  if (dims.empty()) {
-    return Status::InvalidArgument("a rule cube needs at least one dimension");
-  }
-  std::unordered_set<int> seen;
-  for (int a : dims) {
-    if (a < 0 || a >= schema.num_attributes()) {
-      return Status::OutOfRange("cube dimension attribute out of range");
-    }
-    if (!schema.attribute(a).is_categorical()) {
-      return Status::InvalidArgument("cube dimension '" +
-                                     schema.attribute(a).name() +
-                                     "' is not categorical");
-    }
-    if (!seen.insert(a).second) {
-      return Status::InvalidArgument("duplicate cube dimension");
-    }
-  }
-  cube->dims_ = std::move(dims);
+int64_t RuleCube::SetStrides() {
   int64_t cells = 1;
-  for (int a : cube->dims_) {
-    const Attribute& attr = schema.attribute(a);
-    cube->sizes_.push_back(attr.domain());
-    cube->names_.push_back(attr.name());
-    cube->labels_.push_back(attr.labels());
-    cells *= attr.domain();
-  }
-  cube->strides_.resize(cube->dims_.size());
-  int64_t stride = 1;
-  for (int d = cube->num_dims() - 1; d >= 0; --d) {
-    cube->strides_[static_cast<size_t>(d)] = stride;
-    stride *= cube->sizes_[static_cast<size_t>(d)];
+  for (size_t d = shape_.size(); d-- > 0;) {
+    shape_[d].stride = cells;
+    cells *= shape_[d].size;
   }
   return cells;
 }
 
+RuleCube RuleCube::Zeroed(std::vector<Dim> shape) const {
+  RuleCube out;
+  out.schema_ = schema_;
+  out.shape_ = std::move(shape);
+  out.counts_.assign(static_cast<size_t>(out.SetStrides()), 0);
+  return out;
+}
+
 int RuleCube::FindDim(int attr) const {
   for (int d = 0; d < num_dims(); ++d) {
-    if (dims_[static_cast<size_t>(d)] == attr) return d;
+    if (DimAt(d).attr == attr) return d;
   }
   return -1;
 }
 
 size_t RuleCube::LinearIndex(const std::vector<ValueCode>& cell) const {
-  assert(cell.size() == dims_.size());
+  assert(cell.size() == shape_.size());
   int64_t idx = 0;
   for (size_t d = 0; d < cell.size(); ++d) {
-    assert(cell[d] >= 0 && cell[d] < sizes_[d]);
-    idx += strides_[d] * cell[d];
+    assert(cell[d] >= 0 && cell[d] < shape_[d].size);
+    idx += shape_[d].stride * cell[d];
   }
   return static_cast<size_t>(idx);
 }
@@ -105,7 +115,7 @@ int64_t RuleCube::MarginCount(const std::vector<ValueCode>& cell,
   assert(dim >= 0 && dim < num_dims());
   std::vector<ValueCode> probe = cell;
   int64_t sum = 0;
-  for (ValueCode v = 0; v < sizes_[static_cast<size_t>(dim)]; ++v) {
+  for (ValueCode v = 0; v < dim_size(dim); ++v) {
     probe[static_cast<size_t>(dim)] = v;
     sum += count(probe);
   }
@@ -122,15 +132,15 @@ double RuleCube::Confidence(const std::vector<ValueCode>& cell,
 namespace {
 
 // Iterates all cells of a cube shape, invoking fn(cell).
-template <typename Fn>
-void ForEachCell(const std::vector<int>& sizes, Fn&& fn) {
-  std::vector<ValueCode> cell(sizes.size(), 0);
-  if (sizes.empty()) return;
+template <typename Shape, typename Fn>
+void ForEachCell(const Shape& shape, Fn&& fn) {
+  std::vector<ValueCode> cell(shape.size(), 0);
+  if (shape.empty()) return;
   for (;;) {
     fn(cell);
-    int d = static_cast<int>(sizes.size()) - 1;
+    int d = static_cast<int>(shape.size()) - 1;
     while (d >= 0 && cell[static_cast<size_t>(d)] ==
-                         sizes[static_cast<size_t>(d)] - 1) {
+                         shape[static_cast<size_t>(d)].size - 1) {
       cell[static_cast<size_t>(d)] = 0;
       --d;
     }
@@ -145,34 +155,18 @@ Result<RuleCube> RuleCube::Slice(int dim, ValueCode value) const {
   if (dim < 0 || dim >= num_dims()) {
     return Status::OutOfRange("slice dimension out of range");
   }
-  if (value < 0 || value >= sizes_[static_cast<size_t>(dim)]) {
+  if (value < 0 || value >= dim_size(dim)) {
     return Status::OutOfRange("slice value out of domain");
   }
   if (num_dims() == 1) {
     return Status::InvalidArgument("cannot slice a 1-D cube away");
   }
-  RuleCube out;
-  for (int d = 0; d < num_dims(); ++d) {
-    if (d == dim) continue;
-    out.dims_.push_back(dims_[static_cast<size_t>(d)]);
-    out.sizes_.push_back(sizes_[static_cast<size_t>(d)]);
-    out.names_.push_back(names_[static_cast<size_t>(d)]);
-    out.labels_.push_back(labels_[static_cast<size_t>(d)]);
-  }
-  out.strides_.resize(out.dims_.size());
-  int64_t stride = 1;
-  for (int d = out.num_dims() - 1; d >= 0; --d) {
-    out.strides_[static_cast<size_t>(d)] = stride;
-    stride *= out.sizes_[static_cast<size_t>(d)];
-  }
-  out.counts_.assign(static_cast<size_t>(stride), 0);
-  ForEachCell(out.sizes_, [&](const std::vector<ValueCode>& cell) {
-    std::vector<ValueCode> src(static_cast<size_t>(num_dims()));
-    int o = 0;
-    for (int d = 0; d < num_dims(); ++d) {
-      src[static_cast<size_t>(d)] =
-          d == dim ? value : cell[static_cast<size_t>(o++)];
-    }
+  std::vector<Dim> shape = shape_;
+  shape.erase(shape.begin() + dim);
+  RuleCube out = Zeroed(std::move(shape));
+  ForEachCell(out.shape_, [&](const std::vector<ValueCode>& cell) {
+    std::vector<ValueCode> src = cell;
+    src.insert(src.begin() + dim, value);
     out.counts_[out.LinearIndex(cell)] = count(src);
   });
   return out;
@@ -187,29 +181,23 @@ Result<RuleCube> RuleCube::Dice(int dim,
     return Status::InvalidArgument("dice needs at least one value");
   }
   for (ValueCode v : values) {
-    if (v < 0 || v >= sizes_[static_cast<size_t>(dim)]) {
+    if (v < 0 || v >= dim_size(dim)) {
       return Status::OutOfRange("dice value out of domain");
     }
   }
-  RuleCube out;
-  out.dims_ = dims_;
-  out.sizes_ = sizes_;
-  out.names_ = names_;
-  out.labels_ = labels_;
-  out.sizes_[static_cast<size_t>(dim)] = static_cast<int>(values.size());
-  auto& lbl = out.labels_[static_cast<size_t>(dim)];
-  lbl.clear();
+  std::vector<Dim> shape = shape_;
+  Dim& diced = shape[static_cast<size_t>(dim)];
+  std::vector<ValueCode> codes;
+  codes.reserve(values.size());
   for (ValueCode v : values) {
-    lbl.push_back(labels_[static_cast<size_t>(dim)][static_cast<size_t>(v)]);
+    codes.push_back(diced.codes.empty()
+                        ? v
+                        : diced.codes[static_cast<size_t>(v)]);
   }
-  out.strides_.resize(out.dims_.size());
-  int64_t stride = 1;
-  for (int d = out.num_dims() - 1; d >= 0; --d) {
-    out.strides_[static_cast<size_t>(d)] = stride;
-    stride *= out.sizes_[static_cast<size_t>(d)];
-  }
-  out.counts_.assign(static_cast<size_t>(stride), 0);
-  ForEachCell(out.sizes_, [&](const std::vector<ValueCode>& cell) {
+  diced.size = static_cast<int>(values.size());
+  diced.codes = std::move(codes);
+  RuleCube out = Zeroed(std::move(shape));
+  ForEachCell(out.shape_, [&](const std::vector<ValueCode>& cell) {
     std::vector<ValueCode> src = cell;
     src[static_cast<size_t>(dim)] =
         values[static_cast<size_t>(cell[static_cast<size_t>(dim)])];
@@ -225,27 +213,12 @@ Result<RuleCube> RuleCube::Marginalize(int dim) const {
   if (num_dims() == 1) {
     return Status::InvalidArgument("cannot roll up a 1-D cube away");
   }
-  RuleCube out;
-  for (int d = 0; d < num_dims(); ++d) {
-    if (d == dim) continue;
-    out.dims_.push_back(dims_[static_cast<size_t>(d)]);
-    out.sizes_.push_back(sizes_[static_cast<size_t>(d)]);
-    out.names_.push_back(names_[static_cast<size_t>(d)]);
-    out.labels_.push_back(labels_[static_cast<size_t>(d)]);
-  }
-  out.strides_.resize(out.dims_.size());
-  int64_t stride = 1;
-  for (int d = out.num_dims() - 1; d >= 0; --d) {
-    out.strides_[static_cast<size_t>(d)] = stride;
-    stride *= out.sizes_[static_cast<size_t>(d)];
-  }
-  out.counts_.assign(static_cast<size_t>(stride), 0);
-  ForEachCell(sizes_, [&](const std::vector<ValueCode>& cell) {
-    std::vector<ValueCode> dst;
-    dst.reserve(cell.size() - 1);
-    for (int d = 0; d < num_dims(); ++d) {
-      if (d != dim) dst.push_back(cell[static_cast<size_t>(d)]);
-    }
+  std::vector<Dim> shape = shape_;
+  shape.erase(shape.begin() + dim);
+  RuleCube out = Zeroed(std::move(shape));
+  ForEachCell(shape_, [&](const std::vector<ValueCode>& cell) {
+    std::vector<ValueCode> dst = cell;
+    dst.erase(dst.begin() + dim);
     out.counts_[out.LinearIndex(dst)] += count(cell);
   });
   return out;

@@ -668,7 +668,7 @@ void EventLoop::Run() {
         !draining_) {
       BeginDrain();
     }
-    DrainHandoff(/*adopt=*/!draining_);
+    DrainHandoff(/*adopt=*/true);
     DrainCompletions();
     {
       bool owns_reload = false;
@@ -803,7 +803,11 @@ void EventLoop::AdoptFd(int fd) {
   stats_.connections_accepted++;
   ConnectionsGauge()->Set(static_cast<int64_t>(
       server_->total_connections_.load(std::memory_order_relaxed)));
+  Connection* adopted = conn.get();
   conns_[conn->id] = std::move(conn);
+  // A connection handed to a draining loop still gets every frame its
+  // peer already sent answered (SHUTTING_DOWN).
+  if (draining_) ReadConnection(adopted);
 }
 
 bool EventLoop::PeerAllowed(int fd) {
@@ -882,7 +886,9 @@ void EventLoop::ReadConnection(Connection* conn) {
     if (n > 0) {
       BytesRead()->Increment(n);
       conn->in.append(buf, static_cast<size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
+      // A short read emptied the socket; a draining loop reads on to
+      // EAGAIN, its last chance to see frames the peer already sent.
+      if (n < static_cast<ssize_t>(sizeof(buf)) && !draining_) break;
       continue;
     }
     if (n == 0) {
@@ -1184,10 +1190,13 @@ void EventLoop::BeginDrain() {
     std::fprintf(stderr, "opmapd: loop %d drain requested (%d in flight)\n",
                  index_, local_outstanding_);
   }
-  // Undispatched frames get explicit SHUTTING_DOWN responses (in request
-  // order — Emit sequences them); in-flight requests finish and flush
-  // normally.
+  // A draining loop stops polling for input, so first read every frame
+  // the peers have already sent: HandleFrame answers each SHUTTING_DOWN.
+  // Undispatched frames get explicit SHUTTING_DOWN responses too (in
+  // request order — Emit sequences them); in-flight requests finish and
+  // flush normally.
   for (auto& [id, conn] : conns_) {
+    if (!conn->closing && !conn->dead) ReadConnection(conn.get());
     while (!conn->pending.empty()) {
       Connection::PendingFrame frame = std::move(conn->pending.front());
       conn->pending.pop_front();

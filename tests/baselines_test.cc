@@ -255,7 +255,7 @@ TEST(CrossValidation, Validation) {
 }
 
 TEST(CubeExceptions, FindsPlantedHotCell) {
-  Schema schema = XorSchema();
+  auto schema = std::make_shared<const Schema>(XorSchema());
   ASSERT_OK_AND_ASSIGN(RuleCube cube, RuleCube::Make(schema, {0, 1, 3}));
   // Near-independent background plus one hot cell.
   for (ValueCode a = 0; a < 2; ++a) {
@@ -390,7 +390,7 @@ TEST(NaiveBayes, RejectsBadInput) {
 }
 
 TEST(CubeExceptions, EmptyAndUniformCubes) {
-  Schema schema = XorSchema();
+  auto schema = std::make_shared<const Schema>(XorSchema());
   ASSERT_OK_AND_ASSIGN(RuleCube cube, RuleCube::Make(schema, {0, 1, 3}));
   ASSERT_OK_AND_ASSIGN(auto empty, MineCountExceptions(cube, {}));
   EXPECT_TRUE(empty.empty());

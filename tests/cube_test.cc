@@ -21,7 +21,8 @@ Schema Fig1Schema() {
 }
 
 RuleCube Fig1Cube() {
-  auto cube = RuleCube::Make(Fig1Schema(), {0, 1, 2});
+  auto cube =
+      RuleCube::Make(std::make_shared<const Schema>(Fig1Schema()), {0, 1, 2});
   EXPECT_TRUE(cube.ok());
   RuleCube c = cube.MoveValue();
   // Fill the (a, e, *) cells from the paper and distribute the rest.
@@ -51,7 +52,7 @@ TEST(RuleCube, Fig1ExampleSupportsAndConfidences) {
 }
 
 TEST(RuleCube, MakeValidation) {
-  const Schema schema = Fig1Schema();
+  const auto schema = std::make_shared<const Schema>(Fig1Schema());
   EXPECT_FALSE(RuleCube::Make(schema, {}).ok());
   EXPECT_FALSE(RuleCube::Make(schema, {0, 0}).ok());
   EXPECT_FALSE(RuleCube::Make(schema, {7}).ok());
@@ -60,7 +61,9 @@ TEST(RuleCube, MakeValidation) {
   attrs.push_back(Attribute::Categorical("c", {"a", "b"}));
   auto s2 = Schema::Make(std::move(attrs), 1);
   ASSERT_TRUE(s2.ok());
-  EXPECT_FALSE(RuleCube::Make(*s2, {0, 1}).ok());  // continuous dim
+  // continuous dim
+  EXPECT_FALSE(
+      RuleCube::Make(std::make_shared<const Schema>(*s2), {0, 1}).ok());
 }
 
 TEST(RuleCube, SlicePreservesCounts) {
@@ -144,6 +147,44 @@ TEST(CubeStore, BuildsAllCubes) {
   EXPECT_EQ(a1->count({0, 0}), 50);
   EXPECT_EQ(store.class_counts()[1], 140);
   EXPECT_GT(store.MemoryUsageBytes(), 0);
+}
+
+// Cubes share the store's schema: a cube copied out of a built store or
+// out of a mapped one, and a dice or slice of it, still names its
+// dimensions and values after the store is gone.
+TEST(CubeStore, CopiedCubesOutliveTheirStore) {
+  const std::string path = ::testing::TempDir() + "/cube_lifetime.opmc";
+  std::vector<RuleCube> copies;
+  {
+    ASSERT_OK_AND_ASSIGN(CubeStore built,
+                         CubeBuilder::FromDataset(SmallDataset()));
+    ASSERT_OK(built.SaveToFile(path));
+    ASSERT_OK_AND_ASSIGN(const RuleCube* pair, built.PairCube(0, 1));
+    copies.push_back(*pair);
+    ASSERT_OK_AND_ASSIGN(RuleCube diced, pair->Dice(0, {3, 1}));
+    copies.push_back(std::move(diced));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(CubeStore mapped, CubeStore::LoadFromFile(path));
+    ASSERT_TRUE(mapped.GetMappingStats().mapped);
+    ASSERT_OK_AND_ASSIGN(const RuleCube* pair, mapped.PairCube(0, 1));
+    copies.push_back(*pair);  // a view: its counts go with the mapping
+    ASSERT_OK_AND_ASSIGN(RuleCube sliced, pair->Slice(1, 2));  // A2 = g
+    copies.push_back(std::move(sliced));
+  }
+  for (const RuleCube& c : copies) {
+    EXPECT_EQ(c.dim_name(0), "A1");
+    EXPECT_EQ(c.dim_name(c.num_dims() - 1), "C");
+    EXPECT_EQ(c.label(c.num_dims() - 1, 1), "yes");
+  }
+  EXPECT_EQ(copies[0].dim_name(1), "A2");
+  EXPECT_EQ(copies[0].label(1, 2), "g");
+  EXPECT_EQ(copies[1].label(0, 0), "d");  // diced to codes {3, 1}
+  EXPECT_EQ(copies[1].label(0, 1), "b");
+  EXPECT_EQ(copies[1].count({0, 2, 1}), 10);  // A1=d, A2=g -> yes
+  EXPECT_EQ(copies[2].label(1, 0), "e");
+  EXPECT_EQ(copies[3].label(0, 3), "d");
+  EXPECT_EQ(copies[3].count({1, 1}), 30);  // owned counts outlive the file
 }
 
 TEST(CubeStore, AttrSubsetAndNoPairs) {

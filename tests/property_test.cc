@@ -111,6 +111,134 @@ TEST_P(CubeOlapProperty, DiceWithFullDomainIsIdentity) {
   }
 }
 
+// Codes of linear cell `index` of `cube`, one per dimension.
+std::vector<ValueCode> CellOf(const RuleCube& cube, int64_t index) {
+  std::vector<ValueCode> cell(static_cast<size_t>(cube.num_dims()));
+  for (int d = 0; d < cube.num_dims(); ++d) {
+    cell[static_cast<size_t>(d)] =
+        static_cast<ValueCode>(index / cube.dim_stride(d) % cube.dim_size(d));
+  }
+  return cell;
+}
+
+// A chain of dices (re-dicing a diced dimension), a slice of another
+// dimension and a roll-up or dice keeps every dimension's attribute, name,
+// size and labels, and every cell count. The mirror is built from the
+// schema and the composed dice lists alone.
+TEST_P(CubeOlapProperty, OlapChainsKeepNamesLabelsAndCounts) {
+  const auto [seed, domain, records] = GetParam();
+  Dataset d = RandomDataset(seed, 3, domain, records);
+  ASSERT_OK_AND_ASSIGN(CubeStore store, CubeBuilder::FromDataset(d));
+  const Schema& schema = store.schema();
+  ASSERT_OK_AND_ASSIGN(const RuleCube* pair, store.PairCube(0, 2));
+  const int n = pair->num_dims();
+
+  // Mirror of one remaining dimension: its position in `pair` and the
+  // original codes it keeps, in the cube's code order.
+  struct MirrorDim {
+    int src;
+    std::vector<ValueCode> codes;
+  };
+  Rng rng(seed ^ 0x0a1b);
+  const auto pick = [&](int bound) {
+    return static_cast<int>(rng.NextBounded(static_cast<uint64_t>(bound)));
+  };
+  for (int chain = 0; chain < 6; ++chain) {
+    RuleCube cube = *pair;
+    std::vector<MirrorDim> mirror;
+    for (int k = 0; k < n; ++k) {
+      mirror.push_back({k, {}});
+      for (ValueCode v = 0; v < pair->dim_size(k); ++v) {
+        mirror.back().codes.push_back(v);
+      }
+    }
+    // Per removed dimension of `pair`: the original codes it still
+    // admits (the sliced code, or the codes a roll-up summed over).
+    std::vector<std::vector<ValueCode>> removed(static_cast<size_t>(n));
+
+    const auto dice = [&](int dim) {
+      std::vector<ValueCode> values;
+      for (ValueCode v = 0; v < cube.dim_size(dim); ++v) values.push_back(v);
+      for (size_t i = values.size(); i > 1; --i) {
+        std::swap(values[i - 1], values[static_cast<size_t>(
+                                     pick(static_cast<int>(i)))]);
+      }
+      values.resize(static_cast<size_t>(1 + pick(cube.dim_size(dim))));
+      ASSERT_OK_AND_ASSIGN(cube, cube.Dice(dim, values));
+      std::vector<ValueCode>& codes = mirror[static_cast<size_t>(dim)].codes;
+      std::vector<ValueCode> composed;
+      for (ValueCode v : values) {
+        composed.push_back(codes[static_cast<size_t>(v)]);
+      }
+      codes = composed;
+    };
+    const auto remove = [&](int dim, bool slice) {
+      const MirrorDim& gone = mirror[static_cast<size_t>(dim)];
+      std::vector<ValueCode>& admits = removed[static_cast<size_t>(gone.src)];
+      if (slice) {
+        const ValueCode v = static_cast<ValueCode>(pick(cube.dim_size(dim)));
+        ASSERT_OK_AND_ASSIGN(cube, cube.Slice(dim, v));
+        admits = {gone.codes[static_cast<size_t>(v)]};
+      } else {
+        ASSERT_OK_AND_ASSIGN(cube, cube.Marginalize(dim));
+        admits = gone.codes;
+      }
+      mirror.erase(mirror.begin() + dim);
+    };
+    const auto check = [&]() {
+      ASSERT_EQ(cube.num_dims(), static_cast<int>(mirror.size()));
+      for (int k = 0; k < cube.num_dims(); ++k) {
+        const MirrorDim& m = mirror[static_cast<size_t>(k)];
+        const Attribute& attr = schema.attribute(pair->dim_attribute(m.src));
+        EXPECT_EQ(cube.dim_attribute(k), pair->dim_attribute(m.src));
+        EXPECT_EQ(cube.dim_name(k), attr.name());
+        ASSERT_EQ(cube.dim_size(k), static_cast<int>(m.codes.size()));
+        for (ValueCode v = 0; v < cube.dim_size(k); ++v) {
+          EXPECT_EQ(cube.label(k, v),
+                    attr.label(m.codes[static_cast<size_t>(v)]));
+        }
+      }
+      for (int64_t i = 0; i < cube.num_cells(); ++i) {
+        const std::vector<ValueCode> cell = CellOf(cube, i);
+        int64_t expected = 0;
+        for (int64_t j = 0; j < pair->num_cells(); ++j) {
+          const std::vector<ValueCode> src = CellOf(*pair, j);
+          bool match = true;
+          for (int k = 0; k < n; ++k) {
+            const std::vector<ValueCode>& r = removed[static_cast<size_t>(k)];
+            if (!r.empty()) {
+              match &= std::count(r.begin(), r.end(),
+                                  src[static_cast<size_t>(k)]) > 0;
+            }
+          }
+          for (size_t k = 0; k < mirror.size(); ++k) {
+            match &= src[static_cast<size_t>(mirror[k].src)] ==
+                     mirror[k].codes[static_cast<size_t>(cell[k])];
+          }
+          if (match) expected += pair->raw_counts()[j];
+        }
+        EXPECT_EQ(cube.raw_counts()[i], expected) << "cell " << i;
+      }
+    };
+
+    const int a = pick(n);
+    dice(a);
+    check();
+    dice(a);  // dice of an already-diced dimension
+    check();
+    const int b = (a + 1 + pick(n - 1)) % n;
+    remove(b, /*slice=*/true);
+    check();
+    const int c = pick(cube.num_dims());
+    if (rng.NextBernoulli(0.5)) {
+      remove(c, /*slice=*/false);
+    } else {
+      dice(c);
+    }
+    check();
+  }
+}
+
 TEST_P(CubeOlapProperty, ConfidencesSumToOneOverClasses) {
   const auto [seed, domain, records] = GetParam();
   Dataset d = RandomDataset(seed, 2, domain, records);

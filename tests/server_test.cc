@@ -611,10 +611,6 @@ TEST(ServerLifecycle, DisconnectDuringExecutionAndDrainAreClean) {
   options.cubes_path = WriteCubes("srv_life.opmc");
   options.listen = SocketAddr("srv_life.sock");
   options.workers = 1;
-  // One loop: the ping below is then read after every ghost's frame. With
-  // several, a ghost's loop may not have read it yet when the drain starts,
-  // and a draining loop reads nothing more.
-  options.loops = 1;
   auto ts = TestServer::Start(options);
   ASSERT_NE(ts, nullptr);
 

@@ -44,6 +44,16 @@ guard and obeys the one-core skip below, as does the reader bound:
 ingest/query_p99 must stay within MAX_QUERY_P99_APPEND_FRACTION of the
 ingest/append wall time, since Snapshot() never waits for an append.
 
+Store allocation ops (BENCH_parallel.json, from bench_parallel's default
+mode): cube/make (a zeroed CubeBuilder::Make over the workload's schema)
+and cube/clone (CubeStore::Clone of the built store), one row per thread
+count. Each row must show a positive time and rate, and neither may take
+longer than the cube/add_dataset record at the same thread count:
+allocating or copying a store is the fixed cost in front of counting
+rows into it, never the bulk of it. The file's other rows (compare/fanout,
+compare/all_pairs, car/mine, the figure benches) are reported by their
+own tools, not guarded here.
+
 Daemon serving ops (BENCH_server.json, from `opmap loadgen --json`):
 ops starting with "server/". The file must carry a server/qps record
 whose items_per_s (the achieved request rate) is positive — a loadgen
@@ -172,6 +182,13 @@ SWEEP_KNEE_TRACK_FACTOR = 0.9
 SWEEP_MONOTONE_TOLERANCE = 0.85
 
 SWEEP_KINDS = ("p50", "p99", "p999", "achieved_qps", "retry_later")
+
+# Serving-path sweep rows; other compare/ ops (compare/fanout,
+# compare/all_pairs) belong to the parallel trajectory.
+SERVING_COMPARE_OPS = ("compare/cold", "compare/warm_cached")
+
+# Store allocation rows of the parallel trajectory.
+ALLOC_OPS = ("cube/make", "cube/clone")
 
 
 def check_kernel_pairs(path: str, pairs: dict, skip_speedups: bool) -> bool:
@@ -650,6 +667,37 @@ def check_loops_speedup(path: str, qps_records: list,
     return False
 
 
+def check_alloc_ops(path: str, alloc: dict) -> bool:
+    """Guards the store allocation rows; True when failed."""
+    failed = False
+    for threads in sorted(alloc):
+        rows = alloc[threads]
+        build = rows.get("cube/add_dataset")
+        for op in ALLOC_OPS:
+            rec = rows.get(op)
+            if rec is None:
+                print(f"check_bench: FAIL: no {op} record at threads="
+                      f"{threads} in {path}", file=sys.stderr)
+                failed = True
+                continue
+            wall = float(rec["wall_ms"])
+            rate = float(rec.get("items_per_s", 0.0))
+            print(f"{op:40s} threads={threads:<3d} {wall:10.3f} ms  "
+                  f"{rate:14.1f} cubes/s")
+            if not wall > 0 or not rate > 0:
+                print(f"check_bench: FAIL: {op} at threads={threads} "
+                      f"records a non-positive time or rate in {path}",
+                      file=sys.stderr)
+                failed = True
+            elif build is not None and wall > float(build["wall_ms"]):
+                print(f"check_bench: FAIL: {op} at threads={threads} takes "
+                      f"{wall:.3f} ms, longer than the cube/add_dataset "
+                      f"build it precedes ({float(build['wall_ms']):.3f} "
+                      f"ms)", file=sys.stderr)
+                failed = True
+    return failed
+
+
 def check_stats(path: str, latest: dict) -> bool:
     """Guards the embedded metrics snapshots; True when a guard failed.
 
@@ -713,6 +761,7 @@ def check_file(path: str) -> int:
     sweep: dict = {}
     qps_records: list = []
     scaling: dict = {}  # op -> {threads: wall_ms}
+    alloc: dict = {}  # threads -> {op: record}
     latest: dict = {}
     hardware = None
     for rec in records:
@@ -726,8 +775,11 @@ def check_file(path: str) -> int:
             if op.endswith(suffix):
                 base = op[: -len(suffix)]
                 pairs.setdefault(base, {})[kernel] = rec
-        if op.startswith(("store/", "compare/")):
+        if op.startswith("store/") or op in SERVING_COMPARE_OPS:
             serving[op] = float(rec["wall_ms"])
+        if op in ALLOC_OPS or op == "cube/add_dataset":
+            threads = int(rec.get("threads", 1))
+            alloc.setdefault(threads, {})[op] = rec
         if op.startswith("ingest/"):
             ingest[op] = rec
         if op.startswith("server/sweep/"):
@@ -739,11 +791,13 @@ def check_file(path: str) -> int:
         if "hardware_concurrency" in rec:
             hardware = int(rec["hardware_concurrency"])
 
+    has_alloc = any(op in rows for rows in alloc.values()
+                    for op in ALLOC_OPS)
     if not pairs and not serving and not ingest and not server \
-            and not sweep and not scaling:
+            and not sweep and not scaling and not has_alloc:
         print(f"check_bench: no kernel pairs, serving ops, ingest ops, "
-              f"server ops, sweep rows, or scaling rows in {path}",
-              file=sys.stderr)
+              f"server ops, sweep rows, scaling rows, or store allocation "
+              f"rows in {path}", file=sys.stderr)
         return 2
 
     # Records predating the hardware_concurrency field enforce as before.
@@ -766,6 +820,8 @@ def check_file(path: str) -> int:
         failed |= check_sweep_ops(path, sweep, skip_speedups)
     if scaling:
         failed |= check_scaling_ops(path, scaling, hardware)
+    if has_alloc:
+        failed |= check_alloc_ops(path, alloc)
     failed |= check_stats(path, latest)
     return 1 if failed else 0
 

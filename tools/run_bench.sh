@@ -169,5 +169,5 @@ wait "$SERVE_PID"
 
 echo
 echo "wrote $(grep -c '"op"' "$SERVER_OUT") measurements to $SERVER_OUT"
-python3 tools/check_bench.py \
+python3 tools/check_bench.py "$OUT" \
   "$COUNTING_OUT" "$SERVING_OUT" "$INGEST_OUT" "$SIMD_OUT" "$SERVER_OUT"
